@@ -55,7 +55,9 @@
 //! `--summary-md <path>` writes the job-summary markdown from the
 //! in-memory numbers (CI `cat`s it into `$GITHUB_STEP_SUMMARY` instead
 //! of scraping the JSON). `--budget full` switches from the PR-CI
-//! quick budget to the nightly table budget.
+//! quick budget to the nightly table budget. `--help` prints the usage
+//! and exits 0; an unknown argument, a missing value or a bad number
+//! prints the usage to standard error and exits 2.
 //!
 //! ```text
 //! cargo run --release -p bench --bin perf -- \
@@ -435,6 +437,18 @@ fn measure_explore(
     }
 }
 
+const USAGE: &str = "\
+usage: perf [--out BENCH_dse.json] [--check BASELINE.json] [--flip-workers N (>= 4, default 4)]
+            [--programs N (default 10)] [--budget quick|full] [--throughput] [--explore]
+            [--summary-md PATH]";
+
+/// Reports a bad command line: the message and the usage go to
+/// standard error, and the process exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("perf: {message}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut out = String::from("BENCH_dse.json");
     let mut check: Option<String> = None;
@@ -446,34 +460,40 @@ fn main() {
     let mut summary_md: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")))
+        };
+        let count = |text: String| {
+            text.parse::<usize>()
+                .unwrap_or_else(|e| usage_error(&format!("{arg} wants a count, got {text:?}: {e}")))
         };
         match arg.as_str() {
-            "--out" => out = value("--out"),
-            "--check" => check = Some(value("--check")),
-            "--flip-workers" => {
-                flip_workers = value("--flip-workers").parse().expect("worker count")
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                return;
             }
-            "--programs" => programs = value("--programs").parse().expect("program count"),
+            "--out" => out = value(),
+            "--check" => check = Some(value()),
+            "--flip-workers" => flip_workers = count(value()),
+            "--programs" => programs = count(value()),
             "--budget" => {
-                budget_name = value("--budget");
-                assert!(
-                    matches!(budget_name.as_str(), "quick" | "full"),
-                    "unknown budget {budget_name:?} (expected quick|full)"
-                );
+                budget_name = value();
+                if !matches!(budget_name.as_str(), "quick" | "full") {
+                    usage_error(&format!(
+                        "unknown budget {budget_name:?} (expected quick|full)"
+                    ));
+                }
             }
             "--throughput" => throughput = true,
             "--explore" => explore = true,
-            "--summary-md" => summary_md = Some(value("--summary-md")),
-            other => panic!("unknown argument {other:?}"),
+            "--summary-md" => summary_md = Some(value()),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
-    assert!(
-        flip_workers >= 4,
-        "the tracked configuration uses flip_workers >= 4"
-    );
+    if flip_workers < 4 {
+        usage_error("the tracked configuration uses --flip-workers >= 4");
+    }
     let budget = if budget_name == "full" {
         Budget::full()
     } else {

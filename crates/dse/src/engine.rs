@@ -9,11 +9,14 @@
 //! The flip-solving loop — where DSE spends nearly all of its
 //! wall-clock (§6.2 of the paper reports solver time dominating) — is
 //! the unit of parallelism: the flips of one trace are independent
-//! queries, fanned out over [`EngineConfig::flip_workers`] scoped
-//! threads and re-ordered deterministically by clause index before any
-//! engine state is touched, so a run's report is identical for any
-//! worker count. Regex models and solver verdicts are shared across
-//! queries (and across batch jobs) through [`DseCaches`].
+//! queries, solved on the calling thread while they replay from the
+//! shared caches and fanned out over up to [`EngineConfig::flip_workers`]
+//! threads from the first flip that runs a real search. Results are
+//! re-ordered deterministically by clause index before any engine state
+//! is touched, so a run's report is identical for any worker count.
+//! Regex models and solver verdicts are shared across queries (and
+//! across batch jobs) through [`DseCaches`], so the flips of a warm
+//! trace are verdict replays and never leave the calling thread.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,10 +53,15 @@ pub struct EngineConfig {
     pub refinement_limit: usize,
     /// RNG seed for bucket sampling (deterministic runs).
     pub seed: u64,
-    /// Worker threads for per-trace clause-flip solving. `1` (the
-    /// default) solves serially on the calling thread; `0` means
-    /// "auto": `max(1, available_parallelism)`. Reports are identical
-    /// for every worker count.
+    /// Worker threads for per-trace clause-flip solving, the calling
+    /// thread included. `1` (the default) solves serially on the
+    /// calling thread; `0` means "auto": `max(1,
+    /// available_parallelism)`. With more than one, fan-out is
+    /// replay-first: flips that replay a cached verdict (or need no
+    /// search) run on the calling thread, and helper threads start only
+    /// once a flip of the trace runs a real search, so warm traces
+    /// never leave the calling thread. Reports are identical for every
+    /// worker count.
     pub flip_workers: usize,
     /// Capacity of the shared regex-model cache (`0` disables it).
     pub model_cache_capacity: usize,
@@ -368,7 +376,7 @@ pub(crate) fn build_solver(config: &EngineConfig, caches: &DseCaches) -> Solver 
 /// indexed by clause. Under [`strsolve::SolverConfig::incremental`]
 /// (the default) the flips share one [`TraceFlipSession`]; otherwise
 /// each flip rebuilds its query from scratch. Either way the flips fan
-/// out over `workers` threads via [`fan_out_flips`].
+/// out over up to `workers` threads via [`fan_out_flips`].
 pub(crate) fn solve_trace_flips(
     trace: &crate::sym::Trace,
     flips: usize,
@@ -406,11 +414,23 @@ pub(crate) fn solve_trace_flips(
     })
 }
 
+/// Whether a flip ran a real solver search. Verdict-cache replays,
+/// plans known infeasible and query-cache hits are cheap: they record a
+/// replay or no search nodes at all.
+fn ran_search(record: &QueryRecord) -> bool {
+    record.verdict_replays == 0 && record.solver_nodes > 0
+}
+
 /// Runs `one_flip` for every clause index, returning results in clause
-/// order — concurrently over `workers` scoped threads when more than
-/// one is requested, serially otherwise. Work is handed out through an
-/// atomic cursor; results land in their clause slot, so the returned
-/// order (and everything derived from it) is worker-count-independent.
+/// order. Fan-out is replay-first: the calling thread takes flips off a
+/// shared atomic cursor and solves them itself for as long as each one
+/// was cheap (see [`ran_search`]), so a trace whose flips all replay
+/// from warm caches never leaves the calling thread. The first flip
+/// that ran a real search starts `min(workers, unsolved) - 1` scoped
+/// helpers, which drain the cursor next to the calling thread (it
+/// counts as one of the `workers`). Results land in their clause slot,
+/// so the returned order (and everything derived from it) is
+/// worker-count-independent.
 fn fan_out_flips(
     flips: usize,
     workers: usize,
@@ -422,19 +442,30 @@ fn fan_out_flips(
 
     let cursor = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<FlipResult>>> = Mutex::new((0..flips).map(|_| None).collect());
-    thread::scope(|scope| {
-        for _ in 0..workers.min(flips) {
-            scope.spawn(|_| loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= flips {
-                    break;
+    // Solves the next unclaimed flip into its slot: `None` once every
+    // flip is claimed, otherwise whether the flip ran a search.
+    let solve_next = || {
+        let k = cursor.fetch_add(1, Ordering::Relaxed);
+        (k < flips).then(|| {
+            let result = one_flip(k);
+            let searched = ran_search(&result.record);
+            slots.lock()[k] = Some(result);
+            searched
+        })
+    };
+    while let Some(searched) = solve_next() {
+        let unsolved = flips.saturating_sub(cursor.load(Ordering::Relaxed));
+        let helpers = workers.min(unsolved).saturating_sub(1);
+        if searched && helpers > 0 {
+            thread::scope(|scope| {
+                for _ in 0..helpers {
+                    scope.spawn(|_| while solve_next().is_some() {});
                 }
-                let result = one_flip(k);
-                slots.lock()[k] = Some(result);
-            });
+                while solve_next().is_some() {}
+            })
+            .expect("flip worker panicked");
         }
-    })
-    .expect("flip worker panicked");
+    }
     slots
         .into_inner()
         .into_iter()
@@ -645,6 +676,96 @@ mod tests {
         assert_eq!(uncached.model_cache_hits, 0);
         assert_eq!(uncached.query_cache_hits, 0);
         assert_eq!(uncached.verdict_replays(), 0);
+    }
+
+    /// A synthetic flip result for clause `k`: a verdict replay, a
+    /// real search, or (neither) a query that needed no search.
+    fn synthetic_flip(k: usize, replay: bool, search: bool) -> FlipResult {
+        FlipResult {
+            inputs: Some(vec![k.to_string()]),
+            record: QueryRecord {
+                verdict_replays: u64::from(replay),
+                solver_nodes: if replay || search { 7 } else { 0 },
+                ..QueryRecord::default()
+            },
+        }
+    }
+
+    fn clause_order(results: &[FlipResult]) -> Vec<String> {
+        results
+            .iter()
+            .map(|r| r.inputs.as_ref().expect("synthetic inputs")[0].clone())
+            .collect()
+    }
+
+    #[test]
+    fn replayed_flips_stay_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let threads = Mutex::new(Vec::new());
+        let results = fan_out_flips(12, 8, |k| {
+            threads.lock().push(std::thread::current().id());
+            // Replays and search-free flips (infeasible plans,
+            // query-cache hits) are both cheap.
+            synthetic_flip(k, k % 3 != 0, false)
+        });
+        let threads = threads.into_inner();
+        assert_eq!(threads.len(), 12);
+        assert!(threads.iter().all(|&id| id == caller), "{threads:?}");
+        let expected: Vec<String> = (0..12).map(|k| k.to_string()).collect();
+        assert_eq!(clause_order(&results), expected);
+    }
+
+    #[test]
+    fn mixed_flips_are_solved_once_each_in_clause_order() {
+        let flips = 40;
+        for workers in [2, 8] {
+            let solved: Vec<AtomicUsize> = (0..flips).map(|_| AtomicUsize::new(0)).collect();
+            let results = fan_out_flips(flips, workers, |k| {
+                solved[k].fetch_add(1, Ordering::Relaxed);
+                // Replays first, then a search at clause 5 and every
+                // seventh clause after it.
+                synthetic_flip(k, k < 5 || k % 7 != 5, k % 7 == 5)
+            });
+            assert!(
+                solved.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+                "workers {workers}: every clause is solved exactly once"
+            );
+            let expected: Vec<String> = (0..flips).map(|k| k.to_string()).collect();
+            assert_eq!(clause_order(&results), expected, "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn first_flip_search_of_two_starts_no_idle_helper() {
+        // After a search at clause 0 one flip is left, which the
+        // calling thread takes itself: a helper could only find the
+        // cursor empty.
+        let caller = std::thread::current().id();
+        let threads = Mutex::new(Vec::new());
+        let results = fan_out_flips(2, 8, |k| {
+            threads.lock().push(std::thread::current().id());
+            synthetic_flip(k, false, k == 0)
+        });
+        let threads = threads.into_inner();
+        assert_eq!(threads, vec![caller, caller]);
+        assert_eq!(clause_order(&results), ["0", "1"]);
+    }
+
+    #[test]
+    fn a_search_starts_helpers_next_to_the_calling_thread() {
+        // Every flip after the search waits (up to a deadline) until a
+        // second thread has solved a flip, so the test cannot hang and
+        // fails if no helper ever starts.
+        let threads = Mutex::new(HashSet::new());
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        fan_out_flips(6, 2, |k| {
+            threads.lock().insert(std::thread::current().id());
+            while k > 0 && threads.lock().len() < 2 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            synthetic_flip(k, false, k == 0)
+        });
+        assert_eq!(threads.into_inner().len(), 2);
     }
 
     #[test]

@@ -231,3 +231,45 @@ fn shared_caches_across_runs_preserve_reports() {
         "warm run must be all model-cache hits: {warm:?}"
     );
 }
+
+#[test]
+fn warm_session_caches_give_identical_reports_for_every_flip_worker_count() {
+    // Cold caches are covered above; this is the warm path, where the
+    // flips of a trace replay verdicts from the shared caches and the
+    // engine keeps them on the calling thread until one runs a search.
+    for w in expose::corpus::library_workloads()
+        .into_iter()
+        .filter(|w| matches!(w.name, "semver" | "yn" | "query-string"))
+    {
+        let program = parse_program(w.source).expect("parse");
+        let harness = Harness::strings(w.entry, w.arity);
+        let config = EngineConfig {
+            max_executions: 10,
+            ..EngineConfig::default()
+        };
+        let caches = DseCaches::session_from_config(&config);
+        let fill = expose::dse::run_dse_with_caches(&program, &harness, &config, &caches);
+        for flip_workers in [1, 2, 8] {
+            let warm = expose::dse::run_dse_with_caches(
+                &program,
+                &harness,
+                &EngineConfig {
+                    flip_workers,
+                    ..config.clone()
+                },
+                &caches,
+            );
+            assert_eq!(
+                comparable(&fill),
+                comparable(&warm),
+                "{}: warm run at flip_workers {flip_workers} changed the report",
+                w.name
+            );
+            assert!(
+                warm.verdict_replays() > 0,
+                "{}: a warm run must replay verdicts: {warm:?}",
+                w.name
+            );
+        }
+    }
+}
