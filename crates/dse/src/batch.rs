@@ -5,15 +5,15 @@
 //! is highly scalable"). The unit of parallelism here is one *program*
 //! (the per-program engine stays deterministic, so the reproduced tables
 //! are stable). [`BatchOptions::run`] is the one-shot front door: it
-//! delegates to the work-stealing [`crate::sched::Scheduler`] — jobs
-//! migrate between shards instead of being statically partitioned — and
-//! collects the re-sequenced reports in input order.
+//! starts a [`crate::sched::Scheduler`] pool for the batch — idle
+//! workers take the next queued job instead of a static partition —
+//! and collects the re-sequenced reports of one stream in input order.
 
 use crate::ast::Program;
 use crate::caching::CacheSet;
 use crate::engine::{EngineConfig, Report};
 use crate::interp::Harness;
-use crate::sched::{Scheduler, SchedulerConfig};
+use crate::sched::Scheduler;
 
 /// One DSE job: a parsed program plus its harness and configuration.
 #[derive(Debug, Clone)]
@@ -109,25 +109,19 @@ impl BatchOptions {
             )
         });
         let n = jobs.len();
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: self.workers,
-                max_inflight: 0,
-            },
-            caches,
-        );
+        let pool = Scheduler::start(self.workers, caches);
+        let stream = pool.stream(0);
         for job in jobs {
-            scheduler.submit(job);
+            stream.submit(job);
         }
-        scheduler.close();
+        stream.close();
         let mut reports = Vec::with_capacity(n);
-        while let Some(completion) = scheduler.next_ordered() {
+        while let Some(completion) = stream.next_ordered() {
             match completion.outcome {
                 Ok(report) => reports.push(report),
                 Err(message) => panic!("batch job {} failed: {message}", completion.name),
             }
         }
-        scheduler.join();
         assert_eq!(reports.len(), n, "all jobs completed");
         reports
     }

@@ -35,12 +35,12 @@ pub struct DseCaches {
     pub verdicts: Arc<CegarCache>,
     /// Session-scoped DFA intern tables. `None` (the single-run
     /// default) leaves each solver its private tables; a scheduler
-    /// session shares one instance across every shard so a regex
+    /// pool shares one instance across every worker so a regex
     /// determinized for one job is free for all others.
     pub dfa: Option<DfaTables>,
 }
 
-/// A session-scoped cache set: the name under which scheduler shards
+/// A session-scoped cache set: the name under which scheduler workers
 /// and the job service share one [`DseCaches`] (models, verdicts, and
 /// DFA intern tables) across every job of a session. Construct with
 /// [`DseCaches::session`].

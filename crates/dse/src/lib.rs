@@ -11,8 +11,9 @@
 //!   capturing-language models and CEGAR loop of [`expose_core`];
 //! * a generational-search driver with CUPA-style scheduling
 //!   ([`engine`], §6.2), parameterized by the Table 7 support levels;
-//! * a work-stealing sharded scheduler for job streams ([`sched`]),
-//!   with the one-shot batch front door ([`batch`]) on top;
+//! * a FIFO worker pool shared by re-sequenced job streams
+//!   ([`sched`]), with the one-shot batch front door ([`batch`]) on
+//!   top;
 //! * a pure-concolic exploration orchestrator ([`mod@explore`]) that
 //!   closes the solve→seed loop over a deterministic corpus
 //!   ([`store`]) driven by a coverage frontier ([`frontier`]).
@@ -59,7 +60,7 @@ pub use explore::{
 };
 pub use frontier::{CoverageMap, FrontierScheduler};
 pub use interp::{execute, ArgSpec, Harness, InterpConfig};
-pub use sched::{Completion, JobId, Scheduler, SchedulerConfig, ShardStats};
+pub use sched::{Completion, JobId, JobStream, Scheduler};
 pub use solve::{solve_flip, FlipResult, QueryRecord, TraceFlipSession};
 pub use store::{content_hash, trail_digest, CorpusEntry, CorpusStore};
 pub use sym::{Clause, RegexEvent, SymExpr, Trace};

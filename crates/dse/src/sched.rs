@@ -1,75 +1,49 @@
-//! Work-stealing sharded scheduler for DSE job streams.
+//! The DSE job pool: one FIFO worker pool shared by any number of
+//! re-sequenced job streams.
 //!
 //! ExpoSE's evaluation (§6.2) runs thousands of *independent* DSE jobs
 //! — the embarrassingly job-parallel shape a long-running service
-//! should exploit. [`Scheduler`] replaces the static fan-out of the old
-//! `run_batch` with a session-scoped pool of worker shards:
+//! should exploit. [`Scheduler`] is a fixed pool of worker threads over
+//! one FIFO task queue:
 //!
-//! * jobs enter through a global [`Injector`] queue and migrate into
-//!   per-shard deques in batches; an idle shard first drains its own
-//!   deque, then claims from the injector, then **steals** from
-//!   sibling shards — no shard ever idles while work exists anywhere;
-//! * all shards share one [`CacheSet`] (regex models, solver verdicts,
+//! * every worker pops the oldest queued task, runs it, and parks on a
+//!   condvar when the queue is empty — the unit of work is a whole DSE
+//!   job, so one mutex-guarded queue never contends measurably;
+//! * all workers share one [`CacheSet`] (regex models, solver verdicts,
 //!   and the DFA intern tables), so a regex determinized for one job
-//!   is free for every other job of the session;
-//! * completions are re-sequenced by [`JobId`] before they are handed
-//!   to the consumer: the per-job engine is deterministic and every
-//!   cache layer is verdict-preserving, so the *results* of a session
-//!   — and any stream rendered from them — are byte-identical for any
-//!   worker count and any steal interleaving;
-//! * submission applies backpressure: with a bound configured,
-//!   [`Scheduler::submit`] blocks while too many jobs are in flight,
-//!   which is what lets a service front-end stop reading its input
-//!   instead of buffering without limit.
+//!   is free for every other job the pool runs;
+//! * callers submit through a [`JobStream`] ([`Scheduler::stream`]).
+//!   Each stream numbers its own jobs from 0 and re-sequences their
+//!   completions by [`JobId`] before handing them to its consumer: the
+//!   per-job engine is deterministic and every cache layer is
+//!   verdict-preserving, so the *results* of a stream — and any
+//!   output rendered from them — are byte-identical for any worker
+//!   count and for any other streams sharing the pool;
+//! * submission applies backpressure per stream: with a bound
+//!   configured, [`JobStream::submit`] blocks while too many of that
+//!   stream's jobs are in flight, which is what lets a service
+//!   front-end stop reading one connection's input instead of
+//!   buffering without limit.
 //!
-//! Scheduling-dependent *observables* (wall-clock, which shard ran a
-//! job, cache hit/miss splits) live in [`ShardStats`] and the cache
-//! counters, deliberately outside the deterministic result stream.
+//! Scheduling-dependent *observables* (wall-clock, queue depth, cache
+//! hit/miss splits) live in the pool's [`LatencyHistogram`] and the
+//! cache counters, deliberately outside the deterministic result
+//! stream.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use crossbeam::deque::{Injector, Stealer, Worker};
 
 use crate::batch::Job;
 use crate::caching::CacheSet;
 use crate::engine::{resolve_workers, run_dse_with_caches, Report};
 
-/// Monotonic job identifier, assigned at submission. Results are
-/// re-sequenced by this id, so it doubles as the output position.
+/// Monotonic job identifier, assigned per stream at submission.
+/// Results are re-sequenced by this id, so it doubles as the output
+/// position.
 pub type JobId = u64;
-
-/// Scheduler configuration. The default is auto-sized workers
-/// (`workers == 0` means `max(1, available_parallelism)`) with
-/// backpressure disabled.
-#[derive(Debug, Clone, Default)]
-pub struct SchedulerConfig {
-    /// Worker shards. `0` means "auto": `max(1,
-    /// available_parallelism)`.
-    pub workers: usize,
-    /// Maximum jobs in flight (submitted but not yet drained by the
-    /// consumer); [`Scheduler::submit`] blocks at the bound. `0`
-    /// disables backpressure.
-    pub max_inflight: usize,
-}
-
-/// Per-shard scheduling counters (observability only — none of these
-/// feed the deterministic result stream).
-#[derive(Debug, Clone, Default)]
-pub struct ShardStats {
-    /// Jobs this shard executed.
-    pub jobs_run: u64,
-    /// Claims served from the shard's own deque.
-    pub local_pops: u64,
-    /// Claims served from the global injector (including the batch
-    /// hand-offs that refill the local deque).
-    pub injector_claims: u64,
-    /// Claims stolen from sibling shards.
-    pub steals: u64,
-}
 
 /// One finished job, tagged with its submission id and name.
 #[derive(Debug)]
@@ -83,7 +57,7 @@ pub struct Completion {
     pub outcome: Result<Report, String>,
 }
 
-/// A snapshot of session-level progress counters.
+/// A snapshot of one stream's progress counters.
 #[derive(Debug, Clone, Default)]
 pub struct Progress {
     /// Jobs submitted (including rejected submissions).
@@ -94,9 +68,6 @@ pub struct Progress {
     pub inflight: u64,
     /// Jobs finished but still waiting for an earlier id to drain.
     pub resequencing: u64,
-    /// Jobs submitted but not yet claimed by any shard (the queue
-    /// depth a metrics endpoint reports).
-    pub queued: u64,
 }
 
 /// Number of power-of-two latency buckets: bucket `i` counts samples
@@ -105,13 +76,13 @@ pub struct Progress {
 const LATENCY_BUCKETS: usize = 40;
 
 /// A lock-free log-scale latency histogram: fixed power-of-two
-/// microsecond buckets updated with relaxed atomics, so shards (and a
+/// microsecond buckets updated with relaxed atomics, so workers (and a
 /// service's reader thread) record wall times without ever contending
 /// on a lock. Quantiles are read from a [`LatencySnapshot`]; they are
 /// bucket-granular (exact to within 2x), which is plenty for the
-/// p50/p99 trend a metrics endpoint reports. Like [`ShardStats`],
-/// latencies are observability data — never part of the deterministic
-/// result stream.
+/// p50/p99 trend a metrics endpoint reports. Latencies are
+/// observability data — never part of the deterministic result
+/// stream.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
@@ -221,57 +192,52 @@ impl LatencySnapshot {
 struct Task {
     id: JobId,
     job: Job,
+    /// The stream the completion goes back to.
+    stream: Arc<StreamShared>,
 }
 
 struct State {
-    next_id: JobId,
-    next_emit: JobId,
-    /// Tasks submitted but not yet claimed by any shard.
-    queued: usize,
-    /// Completions not yet drained, keyed by id.
-    finished: HashMap<JobId, Completion>,
-    /// No further submissions; shards exit once the queues drain.
-    closed: bool,
-    shard_stats: Vec<ShardStats>,
+    /// Tasks submitted by any stream but not yet taken by a worker,
+    /// oldest first.
+    tasks: VecDeque<Task>,
+    /// The pool is shutting down; idle workers exit.
+    shutdown: bool,
 }
 
 struct Shared {
-    injector: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
     caches: CacheSet,
-    max_inflight: usize,
     state: Mutex<State>,
-    /// Waited on by idle shards; signaled on submit and close.
+    /// Waited on by idle workers; signaled on submit and shutdown.
     work_ready: Condvar,
-    /// Waited on by the consumer (ordered drain) and by submitters
-    /// blocked on backpressure; signaled on completion and drain.
-    progress: Condvar,
     /// Wall time of each completed job, recorded lock-free by the
-    /// shards for the metrics endpoint.
+    /// workers for the metrics endpoint.
     latency: LatencyHistogram,
 }
 
 impl Shared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state.lock().expect("scheduler state poisoned")
+    /// Every update under this lock is one queue operation or a flag
+    /// store, so the state stays valid even if a holder panicked; a
+    /// poisoned lock must not take down workers that other streams
+    /// share.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// A session-scoped, work-stealing DSE job scheduler. See the module
-/// docs for the architecture.
+/// A pool of DSE worker threads over one FIFO task queue. Jobs are
+/// submitted through the [`JobStream`]s it opens. See the module docs
+/// for the architecture.
 ///
 /// # Examples
 ///
 /// ```
-/// use expose_dse::sched::{Scheduler, SchedulerConfig};
+/// use expose_dse::sched::Scheduler;
 /// use expose_dse::{batch::Job, parser::parse_program, CacheSet, EngineConfig, Harness};
 ///
-/// let scheduler = Scheduler::start(
-///     SchedulerConfig { workers: 2, ..SchedulerConfig::default() },
-///     CacheSet::session(64, 64, 64),
-/// );
+/// let pool = Scheduler::start(2, CacheSet::session(64, 64, 64));
+/// let stream = pool.stream(0); // 0 = no in-flight bound
 /// for i in 0..4 {
-///     scheduler.submit(Job {
+///     stream.submit(Job {
 ///         name: format!("job{i}"),
 ///         program: parse_program(
 ///             r#"function f(x) { if (x === "k") { return 1; } return 0; }"#,
@@ -280,14 +246,15 @@ impl Shared {
 ///         config: EngineConfig { max_executions: 4, ..EngineConfig::default() },
 ///     });
 /// }
-/// scheduler.close();
+/// stream.close();
 /// let mut seen = 0;
-/// while let Some(completion) = scheduler.next_ordered() {
+/// while let Some(completion) = stream.next_ordered() {
 ///     assert_eq!(completion.id, seen); // re-sequenced by job id
 ///     assert!(completion.outcome.expect("ran").coverage_fraction() > 0.9);
 ///     seen += 1;
 /// }
 /// assert_eq!(seen, 4);
+/// assert_eq!(pool.latency().count, 4);
 /// ```
 pub struct Scheduler {
     shared: Arc<Shared>,
@@ -295,78 +262,214 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Starts `config.workers` shards sharing `caches`.
-    pub fn start(config: SchedulerConfig, caches: CacheSet) -> Scheduler {
-        let workers = resolve_workers(config.workers);
-        let deques: Vec<Worker<Task>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Task>> = deques.iter().map(Worker::stealer).collect();
+    /// Starts `workers` threads (`0` = `max(1,
+    /// available_parallelism)`) sharing `caches`.
+    pub fn start(workers: usize, caches: CacheSet) -> Scheduler {
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
             caches,
-            max_inflight: config.max_inflight,
             state: Mutex::new(State {
-                next_id: 0,
-                next_emit: 0,
-                queued: 0,
-                finished: HashMap::new(),
-                closed: false,
-                shard_stats: vec![ShardStats::default(); workers],
+                tasks: VecDeque::new(),
+                shutdown: false,
             }),
             work_ready: Condvar::new(),
-            progress: Condvar::new(),
             latency: LatencyHistogram::new(),
         });
-        let handles = deques
-            .into_iter()
-            .enumerate()
-            .map(|(shard, local)| {
+        let handles = (0..resolve_workers(workers))
+            .map(|worker| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("dse-shard-{shard}"))
-                    .spawn(move || shard_loop(&shared, shard, &local))
-                    .expect("spawn shard")
+                    .name(format!("dse-worker-{worker}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn worker")
             })
             .collect();
         Scheduler { shared, handles }
     }
 
-    /// The session cache set shared by all shards.
+    /// Opens a job stream on this pool with its own job ids,
+    /// re-sequencer and in-flight bound (`0` = unbounded).
+    pub fn stream(&self, max_inflight: usize) -> JobStream<'_> {
+        JobStream {
+            pool: self,
+            shared: Arc::new(StreamShared {
+                max_inflight,
+                state: Mutex::new(StreamState::default()),
+                progress: Condvar::new(),
+            }),
+        }
+    }
+
+    /// The cache set shared by all workers.
     pub fn caches(&self) -> &CacheSet {
         &self.shared.caches
     }
 
-    /// Number of worker shards.
+    /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.handles.len()
     }
 
+    /// Jobs submitted by any stream but not yet taken by a worker (the
+    /// queue depth a metrics endpoint reports).
+    pub fn queued(&self) -> u64 {
+        self.shared.lock().tasks.len() as u64
+    }
+
+    /// A snapshot of the per-job wall-time histogram of every job the
+    /// pool has run.
+    pub fn latency(&self) -> LatencySnapshot {
+        self.shared.latency.snapshot()
+    }
+}
+
+impl std::fmt::Debug for Scheduler {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scheduler")
+            .field("workers", &self.workers())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Drop for Scheduler {
+    /// Drops the queued tasks (no stream can outlive the pool, so
+    /// nobody would read their results), then joins the workers once
+    /// their running jobs finish.
+    fn drop(&mut self) {
+        let mut state = self.shared.lock();
+        state.shutdown = true;
+        state.tasks.clear();
+        drop(state);
+        self.shared.work_ready.notify_all();
+        for handle in self.handles.drain(..) {
+            // Workers never panic (panicking jobs become `Err`
+            // completions); a panic here would abort on double panic
+            // during unwinding.
+            let _ = handle.join();
+        }
+    }
+}
+
+/// One worker: take the oldest task, run it, complete it into its
+/// stream; park while the queue is empty; exit on shutdown.
+fn worker_loop(shared: &Shared) {
+    while let Some(Task { id, job, stream }) = next_task(shared) {
+        let started = Instant::now();
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_dse_with_caches(&job.program, &job.harness, &job.config, &shared.caches)
+        }))
+        .map_err(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "job panicked".to_string());
+            format!("job panicked: {message}")
+        });
+        shared.latency.record(started.elapsed());
+        stream.complete(Completion {
+            id,
+            name: job.name,
+            outcome,
+        });
+    }
+}
+
+fn next_task(shared: &Shared) -> Option<Task> {
+    let mut state = shared.lock();
+    loop {
+        if let Some(task) = state.tasks.pop_front() {
+            return Some(task);
+        }
+        if state.shutdown {
+            return None;
+        }
+        state = shared
+            .work_ready
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+#[derive(Default)]
+struct StreamState {
+    next_id: JobId,
+    next_emit: JobId,
+    /// Completions not yet drained, keyed by id.
+    finished: HashMap<JobId, Completion>,
+    /// No further submissions; the ordered drain ends after the last
+    /// completion.
+    closed: bool,
+}
+
+impl StreamState {
+    fn inflight(&self) -> u64 {
+        self.next_id - self.next_emit
+    }
+}
+
+struct StreamShared {
+    max_inflight: usize,
+    state: Mutex<StreamState>,
+    /// Waited on by the consumer (ordered drain) and by submitters
+    /// blocked on backpressure; signaled on completion and drain.
+    progress: Condvar,
+}
+
+impl StreamShared {
+    /// Recovers from poisoning like [`Shared::lock`]: a submitter that
+    /// panics under this lock (`submit after close`) leaves the state
+    /// valid, and must not make the worker completing into this stream
+    /// panic.
+    fn lock(&self) -> MutexGuard<'_, StreamState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn at_capacity(&self, state: &StreamState) -> bool {
+        self.max_inflight > 0 && state.inflight() >= self.max_inflight as u64
+    }
+
+    fn complete(&self, completion: Completion) {
+        self.lock().finished.insert(completion.id, completion);
+        self.progress.notify_all();
+    }
+}
+
+/// One caller's view of a [`Scheduler`]: its own job ids, its own
+/// in-flight bound, and an ordered drain of its own completions,
+/// independent of every other stream on the pool.
+pub struct JobStream<'pool> {
+    pool: &'pool Scheduler,
+    shared: Arc<StreamShared>,
+}
+
+impl JobStream<'_> {
     /// Submits a job, returning its id (= output position). Blocks
-    /// while the in-flight bound is reached — the backpressure that
-    /// lets a front-end stop reading input.
+    /// while the stream's in-flight bound is reached — the
+    /// backpressure that lets a front-end stop reading input.
     ///
     /// # Panics
     ///
-    /// Panics if the session was already closed.
+    /// Panics if the stream was already closed.
     pub fn submit(&self, job: Job) -> JobId {
         let mut state = self.shared.lock();
-        while self.shared.max_inflight > 0
-            && (state.next_id - state.next_emit) as usize >= self.shared.max_inflight
-            && !state.closed
-        {
+        while self.shared.at_capacity(&state) && !state.closed {
             state = self
                 .shared
                 .progress
                 .wait(state)
-                .expect("scheduler state poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
         }
         assert!(!state.closed, "submit after close");
         let id = state.next_id;
         state.next_id += 1;
-        state.queued += 1;
         drop(state);
-        self.shared.injector.push(Task { id, job });
-        self.shared.work_ready.notify_all();
+        let task = Task {
+            id,
+            job,
+            stream: Arc::clone(&self.shared),
+        };
+        self.pool.shared.lock().tasks.push_back(task);
+        self.pool.shared.work_ready.notify_one();
         id
     }
 
@@ -378,32 +481,25 @@ impl Scheduler {
         assert!(!state.closed, "submit after close");
         let id = state.next_id;
         state.next_id += 1;
-        state.finished.insert(
-            id,
-            Completion {
-                id,
-                name: name.into(),
-                outcome: Err(error.into()),
-            },
-        );
         drop(state);
-        self.shared.progress.notify_all();
+        self.shared.complete(Completion {
+            id,
+            name: name.into(),
+            outcome: Err(error.into()),
+        });
         id
     }
 
-    /// Closes the session: no further submissions; shards exit once
-    /// the queues drain; [`Scheduler::next_ordered`] returns `None`
-    /// after the last completion.
+    /// Closes the stream: no further submissions;
+    /// [`JobStream::next_ordered`] returns `None` after the last
+    /// completion. Other streams on the pool are unaffected.
     pub fn close(&self) {
-        let mut state = self.shared.lock();
-        state.closed = true;
-        drop(state);
-        self.shared.work_ready.notify_all();
+        self.shared.lock().closed = true;
         self.shared.progress.notify_all();
     }
 
     /// The next completion in job-id order. Blocks until job
-    /// `next_emit` finishes; returns `None` once the session is closed
+    /// `next_emit` finishes; returns `None` once the stream is closed
     /// and fully drained. Completions arriving out of order are held
     /// back here — this is what makes the output stream byte-identical
     /// for any worker count.
@@ -426,148 +522,30 @@ impl Scheduler {
                 .shared
                 .progress
                 .wait(state)
-                .expect("scheduler state poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// A snapshot of session progress.
+    /// A snapshot of this stream's progress.
     pub fn progress(&self) -> Progress {
         let state = self.shared.lock();
         Progress {
             submitted: state.next_id,
             drained: state.next_emit,
-            inflight: state.next_id - state.next_emit,
+            inflight: state.inflight(),
             resequencing: state.finished.len() as u64,
-            queued: state.queued as u64,
         }
     }
 
-    /// Whether a [`Scheduler::submit`] would currently block on the
+    /// Whether a [`JobStream::submit`] would currently block on the
     /// in-flight bound. A load-shedding front-end checks this to turn
     /// backpressure into a structured `overloaded` rejection instead of
     /// stalling its reader. Advisory: the answer can be stale by the
     /// time a submit runs, which only means one extra job briefly
     /// blocks.
     pub fn at_capacity(&self) -> bool {
-        let state = self.shared.lock();
-        self.shared.max_inflight > 0
-            && (state.next_id - state.next_emit) as usize >= self.shared.max_inflight
+        self.shared.at_capacity(&self.shared.lock())
     }
-
-    /// A snapshot of the per-job wall-time histogram.
-    pub fn latency(&self) -> LatencySnapshot {
-        self.shared.latency.snapshot()
-    }
-
-    /// A snapshot of the per-shard scheduling counters.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shared.lock().shard_stats.clone()
-    }
-
-    /// Closes the session and joins all shards.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a shard thread panic (shards themselves never panic;
-    /// panicking *jobs* are captured as `Err` completions).
-    pub fn join(mut self) {
-        self.close();
-        for handle in self.handles.drain(..) {
-            handle.join().expect("shard thread panicked");
-        }
-    }
-}
-
-impl Drop for Scheduler {
-    fn drop(&mut self) {
-        self.close();
-        for handle in self.handles.drain(..) {
-            // Best-effort join; a panic here would abort on double
-            // panic during unwinding.
-            let _ = handle.join();
-        }
-    }
-}
-
-/// One shard: claim (local → injector → steal), run, complete; park
-/// when no work is queued anywhere; exit when the session is closed
-/// and drained.
-fn shard_loop(shared: &Shared, shard: usize, local: &Worker<Task>) {
-    loop {
-        let claimed = claim(shared, shard, local);
-        match claimed {
-            Some(task) => {
-                {
-                    let mut state = shared.lock();
-                    state.queued -= 1;
-                }
-                let Task { id, job } = task;
-                let name = job.name.clone();
-                let started = Instant::now();
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_dse_with_caches(&job.program, &job.harness, &job.config, &shared.caches)
-                }))
-                .map_err(|payload| {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "job panicked".to_string());
-                    format!("job panicked: {message}")
-                });
-                shared.latency.record(started.elapsed());
-                let mut state = shared.lock();
-                state.shard_stats[shard].jobs_run += 1;
-                state.finished.insert(id, Completion { id, name, outcome });
-                drop(state);
-                shared.progress.notify_all();
-            }
-            None => {
-                let state = shared.lock();
-                if state.queued > 0 {
-                    // A task exists but moved between queues mid-scan;
-                    // rescan immediately.
-                    drop(state);
-                    std::thread::yield_now();
-                    continue;
-                }
-                if state.closed {
-                    return;
-                }
-                // Park until a submit or close wakes us.
-                drop(
-                    shared
-                        .work_ready
-                        .wait(state)
-                        .expect("scheduler state poisoned"),
-                );
-            }
-        }
-    }
-}
-
-/// Claims one task: the shard's own deque first, then the injector
-/// (with a batch hand-off into the local deque), then siblings.
-fn claim(shared: &Shared, shard: usize, local: &Worker<Task>) -> Option<Task> {
-    if let Some(task) = local.pop() {
-        shared.lock().shard_stats[shard].local_pops += 1;
-        return Some(task);
-    }
-    if let Some(task) = shared.injector.steal_batch_and_pop(local).success() {
-        shared.lock().shard_stats[shard].injector_claims += 1;
-        return Some(task);
-    }
-    // Scan siblings starting after this shard so steal pressure
-    // spreads instead of always hitting shard 0.
-    let n = shared.stealers.len();
-    for offset in 1..n {
-        let victim = (shard + offset) % n;
-        if let Some(task) = shared.stealers[victim].steal().success() {
-            shared.lock().shard_stats[shard].steals += 1;
-            return Some(task);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -596,49 +574,43 @@ mod tests {
         )
     }
 
+    /// Drains a closed stream, returning the completion names in order
+    /// after checking that ids count up from 0.
+    fn drain(stream: &JobStream<'_>) -> Vec<String> {
+        let mut names = Vec::new();
+        while let Some(completion) = stream.next_ordered() {
+            assert_eq!(completion.id, names.len() as JobId);
+            assert!(completion.outcome.is_ok(), "{}", completion.name);
+            names.push(completion.name);
+        }
+        names
+    }
+
     #[test]
     fn resequences_completions_by_id() {
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: 4,
-                ..SchedulerConfig::default()
-            },
-            CacheSet::session(64, 64, 64),
-        );
+        let pool = Scheduler::start(4, CacheSet::session(64, 64, 64));
+        let stream = pool.stream(0);
         for i in 0..16 {
-            scheduler.submit(simple(&format!("job{i}"), &format!("k{i}")));
+            stream.submit(simple(&format!("job{i}"), &format!("k{i}")));
         }
-        scheduler.close();
-        let mut expected = 0;
-        while let Some(completion) = scheduler.next_ordered() {
-            assert_eq!(completion.id, expected);
-            assert_eq!(completion.name, format!("job{expected}"));
-            assert!(completion.outcome.is_ok());
-            expected += 1;
-        }
-        assert_eq!(expected, 16);
-        let stats = scheduler.shard_stats();
-        let run: u64 = stats.iter().map(|s| s.jobs_run).sum();
-        assert_eq!(run, 16);
+        stream.close();
+        let expected: Vec<String> = (0..16).map(|i| format!("job{i}")).collect();
+        assert_eq!(drain(&stream), expected);
+        assert_eq!(pool.latency().count, 16);
     }
 
     #[test]
     fn rejected_submissions_hold_their_position() {
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: 2,
-                ..SchedulerConfig::default()
-            },
-            CacheSet::session(16, 16, 16),
-        );
-        scheduler.submit(simple("ok0", "a"));
-        scheduler.submit_rejected("broken", "parse error: unexpected token");
-        scheduler.submit(simple("ok2", "b"));
-        scheduler.close();
-        let first = scheduler.next_ordered().expect("job 0");
-        let second = scheduler.next_ordered().expect("job 1");
-        let third = scheduler.next_ordered().expect("job 2");
-        assert!(scheduler.next_ordered().is_none());
+        let pool = Scheduler::start(2, CacheSet::session(16, 16, 16));
+        let stream = pool.stream(0);
+        stream.submit(simple("ok0", "a"));
+        stream.submit_rejected("broken", "parse error: unexpected token");
+        stream.submit(simple("ok2", "b"));
+        stream.close();
+        let first = stream.next_ordered().expect("job 0");
+        let second = stream.next_ordered().expect("job 1");
+        let third = stream.next_ordered().expect("job 2");
+        assert!(stream.next_ordered().is_none());
         assert!(first.outcome.is_ok());
         assert_eq!(second.name, "broken");
         assert!(second.outcome.unwrap_err().contains("parse error"));
@@ -647,53 +619,43 @@ mod tests {
 
     #[test]
     fn backpressure_bounds_inflight() {
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: 2,
-                max_inflight: 4,
-            },
-            CacheSet::session(16, 16, 16),
-        );
+        let pool = Scheduler::start(2, CacheSet::session(16, 16, 16));
+        let stream = pool.stream(4);
         // Submit more than the bound from this thread while a drainer
         // runs on another: submission can only finish because draining
         // frees slots.
         std::thread::scope(|scope| {
             let drainer = scope.spawn(|| {
                 let mut drained = 0;
-                while scheduler.next_ordered().is_some() {
+                while stream.next_ordered().is_some() {
                     drained += 1;
                 }
                 drained
             });
             for i in 0..12 {
-                scheduler.submit(simple(&format!("job{i}"), "x"));
-                assert!(scheduler.progress().inflight <= 4);
+                stream.submit(simple(&format!("job{i}"), "x"));
+                assert!(stream.progress().inflight <= 4);
             }
-            scheduler.close();
+            stream.close();
             assert_eq!(drainer.join().expect("drainer"), 12);
         });
     }
 
     #[test]
     fn odd_jobs_do_not_stall_the_stream() {
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: 1,
-                ..SchedulerConfig::default()
-            },
-            CacheSet::session(16, 16, 16),
-        );
+        let pool = Scheduler::start(1, CacheSet::session(16, 16, 16));
+        let stream = pool.stream(0);
         // A harness naming a missing entry runs as an (empty) execution
-        // rather than an error; the shard must complete it and move on
+        // rather than an error; the worker must complete it and move on
         // to the next job either way.
         let mut odd = simple("odd", "x");
         odd.harness = Harness::strings("missing_entry", 1);
-        scheduler.submit(odd);
-        scheduler.submit(simple("good", "y"));
-        scheduler.close();
-        let first = scheduler.next_ordered().expect("completion 0");
-        let second = scheduler.next_ordered().expect("completion 1");
-        assert!(scheduler.next_ordered().is_none());
+        stream.submit(odd);
+        stream.submit(simple("good", "y"));
+        stream.close();
+        let first = stream.next_ordered().expect("completion 0");
+        let second = stream.next_ordered().expect("completion 1");
+        assert!(stream.next_ordered().is_none());
         let report = first.outcome.expect("empty run, not an error");
         assert_eq!(report.tests_generated, 0);
         let report = second.outcome.expect("ran");
@@ -702,37 +664,27 @@ mod tests {
 
     #[test]
     fn progress_counters_track_the_session() {
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: 2,
-                ..SchedulerConfig::default()
-            },
-            CacheSet::session(16, 16, 16),
-        );
-        assert_eq!(scheduler.progress().submitted, 0);
-        scheduler.submit(simple("a", "1"));
-        scheduler.submit(simple("b", "2"));
-        scheduler.close();
-        let mut drained = 0;
-        while scheduler.next_ordered().is_some() {
-            drained += 1;
-        }
-        assert_eq!(drained, 2);
-        let progress = scheduler.progress();
+        let pool = Scheduler::start(2, CacheSet::session(16, 16, 16));
+        let stream = pool.stream(0);
+        assert_eq!(stream.progress().submitted, 0);
+        stream.submit(simple("a", "1"));
+        stream.submit(simple("b", "2"));
+        stream.close();
+        assert_eq!(drain(&stream).len(), 2);
+        let progress = stream.progress();
         assert_eq!(progress.submitted, 2);
         assert_eq!(progress.drained, 2);
         assert_eq!(progress.inflight, 0);
         assert_eq!(progress.resequencing, 0);
-        assert_eq!(progress.queued, 0);
+        assert_eq!(pool.queued(), 0);
         // Every completed job left a latency sample behind. Quantiles
         // are bucket upper bounds, so p50 may exceed the exact max —
         // but never by more than the max sample's own bucket bound.
-        let latency = scheduler.latency();
+        let latency = pool.latency();
         assert_eq!(latency.count, 2);
         assert!(latency.p99_us >= latency.p50_us);
         assert!(latency.sum_us >= latency.max_us);
         assert!(u128::from(latency.p50_us) <= 2 * u128::from(latency.max_us.max(1)));
-        scheduler.join();
     }
 
     #[test]
@@ -758,20 +710,65 @@ mod tests {
 
     #[test]
     fn at_capacity_reflects_the_inflight_bound() {
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: 1,
-                max_inflight: 2,
-            },
-            CacheSet::session(16, 16, 16),
-        );
-        assert!(!scheduler.at_capacity());
-        scheduler.submit(simple("a", "1"));
-        scheduler.submit(simple("b", "2"));
+        let pool = Scheduler::start(1, CacheSet::session(16, 16, 16));
+        let stream = pool.stream(2);
+        assert!(!stream.at_capacity());
+        stream.submit(simple("a", "1"));
+        stream.submit(simple("b", "2"));
         // Two undrained jobs hit the bound even after both complete.
-        assert!(scheduler.at_capacity());
-        scheduler.close();
-        while scheduler.next_ordered().is_some() {}
-        assert!(!scheduler.at_capacity());
+        assert!(stream.at_capacity());
+        stream.close();
+        while stream.next_ordered().is_some() {}
+        assert!(!stream.at_capacity());
+    }
+
+    #[test]
+    fn interleaved_streams_each_resequence_from_zero() {
+        let pool = Scheduler::start(2, CacheSet::session(64, 64, 64));
+        let a = pool.stream(0);
+        let b = pool.stream(0);
+        for i in 0..6 {
+            assert_eq!(a.submit(simple(&format!("a{i}"), &format!("k{i}"))), i);
+            assert_eq!(b.submit(simple(&format!("b{i}"), &format!("q{i}"))), i);
+        }
+        a.close();
+        b.close();
+        let names =
+            |prefix: &str| -> Vec<String> { (0..6).map(|i| format!("{prefix}{i}")).collect() };
+        assert_eq!(drain(&b), names("b"));
+        assert_eq!(drain(&a), names("a"));
+        assert_eq!(pool.latency().count, 12);
+    }
+
+    #[test]
+    fn closing_one_stream_does_not_end_the_other() {
+        let pool = Scheduler::start(1, CacheSet::session(16, 16, 16));
+        let a = pool.stream(0);
+        let b = pool.stream(0);
+        a.submit(simple("a0", "1"));
+        b.submit(simple("b0", "2"));
+        a.close();
+        assert_eq!(drain(&a), ["a0"]);
+        // `b` still accepts work and drains it after `a` has ended.
+        b.submit(simple("b1", "3"));
+        b.close();
+        assert_eq!(drain(&b), ["b0", "b1"]);
+    }
+
+    #[test]
+    fn a_panicking_submitter_leaves_the_pool_working() {
+        let pool = Scheduler::start(1, CacheSet::session(16, 16, 16));
+        let a = pool.stream(0);
+        a.submit(simple("a0", "1"));
+        a.close();
+        // Submitting after close panics while holding the stream's
+        // lock; the stream and the pool's one worker must survive it.
+        let misuse = std::panic::catch_unwind(AssertUnwindSafe(|| a.submit(simple("a1", "2"))));
+        assert!(misuse.is_err());
+        assert_eq!(drain(&a), ["a0"]);
+        let b = pool.stream(0);
+        b.submit(simple("b0", "3"));
+        b.close();
+        assert_eq!(drain(&b), ["b0"]);
     }
 }

@@ -1,18 +1,19 @@
-//! Scheduler determinism: the work-stealing sharded scheduler must
-//! produce the same results as serial execution — for every worker
-//! count, under job-submission-order shuffles, and with shared vs
-//! fresh caches — over a seeded corpus of generated DSE programs.
+//! Scheduler determinism: the shared worker pool must produce the same
+//! results as serial execution — for every worker count, under
+//! job-submission-order shuffles, with shared vs fresh caches, and
+//! with several job streams sharing one pool — over a seeded corpus of
+//! generated DSE programs.
 //!
 //! "Same results" means the deterministic projection of a report:
 //! coverage, executions, generated tests, bugs, and the per-query
-//! verdict trail. Wall-clock, which shard ran a job, and cache
+//! verdict trail. Wall-clock, which worker ran a job, and cache
 //! hit/miss splits are scheduling-dependent by design and excluded
 //! (the same convention the engine's own `flip_workers` tests use).
 
 use std::collections::HashMap;
 
 use expose_dse::parser::parse_program;
-use expose_dse::sched::{Scheduler, SchedulerConfig};
+use expose_dse::sched::{JobStream, Scheduler};
 use expose_dse::{run_dse, BatchOptions, CacheSet, EngineConfig, Harness, Job, Report};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -103,19 +104,14 @@ fn submission_order_shuffles_do_not_change_results() {
             let j = rng.random_range(0..=i);
             shuffled.swap(i, j);
         }
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: 4,
-                ..SchedulerConfig::default()
-            },
-            CacheSet::session(512, 2048, 512),
-        );
+        let pool = Scheduler::start(4, CacheSet::session(512, 2048, 512));
+        let stream = pool.stream(0);
         for job in shuffled {
-            scheduler.submit(job);
+            stream.submit(job);
         }
-        scheduler.close();
+        stream.close();
         let mut seen = 0;
-        while let Some(completion) = scheduler.next_ordered() {
+        while let Some(completion) = stream.next_ordered() {
             let report = completion.outcome.expect("job ran");
             let expected = reference
                 .get(&completion.name)
@@ -166,30 +162,46 @@ fn shared_and_fresh_caches_agree() {
     assert!(tables.hits() > 0, "DFA tables never hit");
 }
 
-#[test]
-fn backpressure_drain_interleaving_preserves_results() {
-    let jobs = corpus_jobs(6, 0x5eed4);
-    let reference = serial_reference(&jobs);
-    let scheduler = Scheduler::start(
-        SchedulerConfig {
-            workers: 2,
-            max_inflight: 2,
-        },
-        CacheSet::session(512, 2048, 512),
-    );
-    let projected = std::thread::scope(|scope| {
+/// Submits `jobs` into `stream` (blocking at its in-flight bound)
+/// while another thread drains it, returning the projected results in
+/// drain order.
+fn submit_and_drain(stream: &JobStream<'_>, jobs: &[Job]) -> Vec<Deterministic> {
+    std::thread::scope(|scope| {
         let drainer = scope.spawn(|| {
             let mut out = Vec::new();
-            while let Some(completion) = scheduler.next_ordered() {
+            while let Some(completion) = stream.next_ordered() {
                 out.push(project(&completion.outcome.expect("job ran")));
             }
             out
         });
-        for job in jobs.clone() {
-            scheduler.submit(job); // blocks at 2 in flight
+        for job in jobs {
+            stream.submit(job.clone()); // blocks at the in-flight bound
         }
-        scheduler.close();
+        stream.close();
         drainer.join().expect("drainer")
+    })
+}
+
+#[test]
+fn backpressure_drain_interleaving_preserves_results() {
+    let jobs = corpus_jobs(6, 0x5eed4);
+    let reference = serial_reference(&jobs);
+    let pool = Scheduler::start(2, CacheSet::session(512, 2048, 512));
+    assert_eq!(submit_and_drain(&pool.stream(2), &jobs), reference);
+
+    // Two concurrent streams on one pool, each bounded and drained on
+    // its own threads (one in reverse job order), each still equal
+    // to the serial reference.
+    let reversed: Vec<Job> = jobs.iter().rev().cloned().collect();
+    let reversed_reference: Vec<Deterministic> = reference.iter().rev().cloned().collect();
+    let (forward, backward) = std::thread::scope(|scope| {
+        let forward = scope.spawn(|| submit_and_drain(&pool.stream(2), &jobs));
+        let backward = scope.spawn(|| submit_and_drain(&pool.stream(2), &reversed));
+        (
+            forward.join().expect("forward stream"),
+            backward.join().expect("backward stream"),
+        )
     });
-    assert_eq!(projected, reference);
+    assert_eq!(forward, reference);
+    assert_eq!(backward, reversed_reference);
 }

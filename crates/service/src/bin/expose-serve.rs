@@ -1,13 +1,14 @@
 //! `expose-serve` — the NDJSON DSE job service.
 //!
 //! ```text
-//! # Stream jobs through the work-stealing scheduler (stdin/stdout):
+//! # Stream jobs through a worker pool (stdin/stdout):
 //! expose-serve [--workers N] [--max-inflight N]
 //!
-//! # Same protocol over a Unix socket or TCP (connections share warm
-//! # caches; admission control via --max-connections; SIGTERM drains
-//! # gracefully — stop accepting, flush in-flight, close each stream
-//! # with its done line):
+//! # Same protocol over a Unix socket or TCP (connections share one
+//! # --workers pool and its warm caches; --max-inflight bounds each
+//! # connection; admission control via --max-connections; SIGTERM
+//! # drains gracefully — stop accepting, flush in-flight, close each
+//! # stream with its done line):
 //! expose-serve --listen unix:/tmp/expose.sock [--workers N]
 //! expose-serve --listen tcp:127.0.0.1:7077 [--max-connections N] [--shed]
 //!
@@ -39,6 +40,10 @@
 //! # --workers 1/2/8 and byte-diffs the outputs):
 //! expose-serve --replay-stream 10 [--workers N]
 //! ```
+//!
+//! `--help` prints the usage and exits 0; an unknown argument, a
+//! missing value, an unparsable number or an unknown budget prints the
+//! error and the usage to standard error and exits 2.
 
 use std::io::{BufRead, Write};
 
@@ -73,6 +78,32 @@ struct Options {
     cache_bytes: Option<usize>,
 }
 
+const USAGE: &str = "\
+usage: expose-serve [--workers N] [--flip-workers N] [--max-inflight N] [--cache-bytes N]
+                    [--listen stdio|unix:PATH|tcp:ADDR] [--max-connections N] [--shed]
+                    [--metrics-text]
+       expose-serve --soak ADDR [--clients N] [--seconds S] [--budget quick|full]
+       expose-serve --batch
+       expose-serve --emit-corpus N | --emit-stream N [--budget quick|full]
+       expose-serve --emit-explore N [--iterations K] [--budget quick|full]
+       expose-serve --replay-stream N [--workers N] [--budget quick|full]";
+
+/// Prints `message` and the usage to standard error and exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("expose-serve: {message}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// Parses the value of `flag` as a number, or exits through
+/// [`usage_error`].
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse()
+        .unwrap_or_else(|e| usage_error(&format!("{flag} wants a number, got {text:?}: {e}")))
+}
+
 fn parse_args() -> Options {
     let mut options = Options {
         workers: 0,
@@ -96,67 +127,47 @@ fn parse_args() -> Options {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")))
         };
-        match arg.as_str() {
-            "--workers" => options.workers = value("--workers").parse().expect("worker count"),
-            "--flip-workers" => {
-                options.flip_workers = Some(value("--flip-workers").parse().expect("worker count"))
+        let flag = arg.as_str();
+        match flag {
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0)
             }
-            "--max-inflight" => {
-                options.max_inflight = value("--max-inflight").parse().expect("bound")
-            }
-            "--listen" => options.listen = Some(value("--listen")),
-            // Hidden alias of `--listen unix:PATH`, kept for one
-            // release.
-            "--socket" => {
-                let path = value("--socket");
-                eprintln!("expose-serve: --socket is deprecated; use --listen unix:{path} instead");
-                options.listen = Some(format!("unix:{path}"));
-            }
-            "--max-connections" => {
-                options.max_connections =
-                    Some(value("--max-connections").parse().expect("connection cap"))
-            }
+            "--workers" => options.workers = number(flag, &value()),
+            "--flip-workers" => options.flip_workers = Some(number(flag, &value())),
+            "--max-inflight" => options.max_inflight = number(flag, &value()),
+            "--listen" => options.listen = Some(value()),
+            "--max-connections" => options.max_connections = Some(number(flag, &value())),
             "--shed" => options.shed = true,
             "--metrics-text" => options.metrics_text = true,
             "--soak" => {
-                let addr = value("--soak");
+                let addr = value();
                 // Accept both a bare host:port and the tcp: spec form.
                 options.soak = Some(addr.strip_prefix("tcp:").unwrap_or(&addr).to_string());
             }
-            "--clients" => options.clients = value("--clients").parse().expect("client count"),
-            "--seconds" => options.seconds = value("--seconds").parse().expect("seconds"),
+            "--clients" => options.clients = number(flag, &value()),
+            "--seconds" => options.seconds = number(flag, &value()),
             "--batch" => options.batch = true,
-            "--emit-corpus" => {
-                options.emit_corpus = Some(value("--emit-corpus").parse().expect("program count"))
-            }
-            "--emit-stream" => {
-                options.emit_stream = Some(value("--emit-stream").parse().expect("program count"))
-            }
-            "--emit-explore" => {
-                options.emit_explore = Some(value("--emit-explore").parse().expect("program count"))
-            }
-            "--iterations" => {
-                options.iterations = value("--iterations").parse().expect("iteration count")
-            }
-            "--replay-stream" => {
-                options.replay_stream =
-                    Some(value("--replay-stream").parse().expect("program count"))
-            }
+            "--emit-corpus" => options.emit_corpus = Some(number(flag, &value())),
+            "--emit-stream" => options.emit_stream = Some(number(flag, &value())),
+            "--emit-explore" => options.emit_explore = Some(number(flag, &value())),
+            "--iterations" => options.iterations = number(flag, &value()),
+            "--replay-stream" => options.replay_stream = Some(number(flag, &value())),
             "--budget" => {
-                options.budget = match value("--budget").as_str() {
+                options.budget = match value().as_str() {
                     "quick" => CorpusBudget::Quick,
                     "full" => CorpusBudget::Full,
-                    other => panic!("unknown budget {other:?} (expected quick|full)"),
+                    other => {
+                        usage_error(&format!("unknown budget {other:?} (expected quick|full)"))
+                    }
                 }
             }
-            "--cache-bytes" => {
-                options.cache_bytes = Some(value("--cache-bytes").parse().expect("byte budget"))
-            }
-            other => panic!("unknown argument {other:?}"),
+            "--cache-bytes" => options.cache_bytes = Some(number(flag, &value())),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     options

@@ -1,11 +1,11 @@
-//! The ExpoSE job service: a long-running NDJSON front-end over the
-//! work-stealing DSE scheduler.
+//! The ExpoSE job service: a long-running NDJSON front-end over one
+//! shared DSE worker pool.
 //!
 //! The paper's evaluation shape — thousands of independent DSE jobs —
 //! is exactly what a service should amortize: [`ServeOptions::serve`]
 //! runs one session (submit jobs, query status/stats/metrics, stream
-//! re-sequenced results), all sessions of a process share one warm
-//! [`expose_dse::CacheSet`], and the `expose-serve` binary exposes the
+//! re-sequenced results), all sessions of a server share one worker
+//! pool and its warm [`expose_dse::CacheSet`], and the `expose-serve` binary exposes the
 //! whole thing over stdio, a Unix socket, or TCP behind one `--listen`
 //! surface ([`transport`]), with admission control and graceful drain
 //! ([`server`]) and a concurrent soak client ([`soak`]).

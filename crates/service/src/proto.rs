@@ -34,7 +34,7 @@
 //! `service-smoke` CI job enforce this).
 
 use expose_core::SupportLevel;
-use expose_dse::sched::{Completion, LatencySnapshot, Progress, ShardStats};
+use expose_dse::sched::{Completion, LatencySnapshot, Progress};
 use expose_dse::sym::{RegexEvent, SymExpr};
 use expose_dse::Report;
 
@@ -249,7 +249,7 @@ pub enum Request {
     Submit(Box<SubmitRequest>),
     /// Report session progress counters.
     Status,
-    /// Report cache and shard statistics.
+    /// Report cache statistics.
     Stats,
     /// Report the full observability snapshot: scheduler queue depths,
     /// latency quantiles, caches, lifetime totals, admission counters.
@@ -707,25 +707,27 @@ pub struct AdmissionCounters {
 /// Everything a `metrics` line reports. Latency quantiles come from the
 /// scheduler's lock-free histogram ([`LatencySnapshot`]); like `stats`,
 /// the whole line is observability data, never part of the
-/// deterministic result stream.
+/// deterministic result stream. `workers`, `queued` and `job_latency`
+/// describe the server-wide worker pool; everything else describes
+/// this connection.
 #[derive(Debug, Clone)]
 pub struct MetricsReport<'a> {
-    /// Scheduler progress (queue depths included).
+    /// This connection's job-stream progress.
     pub progress: Progress,
-    /// Worker shard count.
+    /// Worker threads of the pool.
     pub workers: usize,
+    /// Jobs queued in the pool by any connection, not yet running.
+    pub queued: u64,
     /// Result lines emitted so far on this connection.
     pub jobs: u64,
     /// Error lines emitted so far on this connection.
     pub request_errors: u64,
-    /// Per-job wall-time quantiles from the scheduler.
+    /// Per-job wall-time quantiles of every job the pool has run.
     pub job_latency: LatencySnapshot,
     /// Per-`solve` wall-time quantiles from the streaming sessions.
     pub solve_latency: LatencySnapshot,
     /// Cache counters (same data as a `stats` line).
     pub caches: &'a CacheCounters,
-    /// Per-shard scheduling counters.
-    pub shards: &'a [ShardStats],
     /// Connection-lifetime session totals.
     pub lifetime: LifetimeCounters,
     /// Admission counters when serving under a socket front-end.
@@ -756,22 +758,6 @@ fn write_cache_counters(out: &mut String, caches: &CacheCounters) {
         caches.evictions.1,
         caches.evictions.2,
     );
-}
-
-fn write_shards(out: &mut String, shards: &[ShardStats]) {
-    use std::fmt::Write as _;
-    out.push_str("\"shards\":[");
-    for (i, shard) in shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"jobs\":{},\"local\":{},\"injector\":{},\"steals\":{}}}",
-            shard.jobs_run, shard.local_pops, shard.injector_claims, shard.steals
-        );
-    }
-    out.push(']');
 }
 
 fn write_session(out: &mut String, session: &Option<SessionCounters>) {
@@ -814,7 +800,6 @@ fn write_latency(out: &mut String, key: &str, latency: &LatencySnapshot) {
 /// never part of the deterministic result stream).
 pub fn stats_line(
     caches: &CacheCounters,
-    shards: &[ShardStats],
     lifetime: &LifetimeCounters,
     config_json: &str,
     version: ProtoVersion,
@@ -823,8 +808,6 @@ pub fn stats_line(
     open_versioned(&mut out, version);
     out.push_str(",\"type\":\"stats\",");
     write_cache_counters(&mut out, caches);
-    out.push(',');
-    write_shards(&mut out, shards);
     write_session(&mut out, &caches.session);
     out.push(',');
     write_lifetime(&mut out, lifetime);
@@ -852,15 +835,13 @@ pub fn metrics_line(report: &MetricsReport<'_>, version: ProtoVersion) -> String
         report.progress.drained,
         report.progress.inflight,
         report.progress.resequencing,
-        report.progress.queued,
+        report.queued,
     );
     write_latency(&mut out, "job_latency", &report.job_latency);
     out.push(',');
     write_latency(&mut out, "solve_latency", &report.solve_latency);
     out.push(',');
     write_cache_counters(&mut out, report.caches);
-    out.push(',');
-    write_shards(&mut out, report.shards);
     write_session(&mut out, &report.caches.session);
     out.push(',');
     write_lifetime(&mut out, &report.lifetime);

@@ -1,19 +1,25 @@
 //! The multi-connection front-end: an accept loop over any
-//! [`Listener`] with admission control, shared warm caches, and
+//! [`Listener`] with admission control, one shared worker pool, and
 //! graceful drain.
 //!
-//! Every admitted connection runs an ordinary
-//! [`ServeOptions::serve`](crate::ServeOptions::serve) session on its
-//! own thread, over a clone of one shared
-//! [`CacheSet`](expose_dse::CacheSet) — so tenants
-//! warm each other's regex models, solver verdicts, and DFA tables
-//! while each connection keeps its own deterministic result stream.
+//! A [`serve_listener`] run starts one
+//! [`Scheduler`](expose_dse::Scheduler) pool of `workers` threads over
+//! one [`CacheSet`](expose_dse::CacheSet). Every admitted connection runs
+//! an ordinary [`ServeOptions::serve`](crate::ServeOptions::serve)
+//! session on its own thread and submits its jobs through its own
+//! [`JobStream`](expose_dse::JobStream) on that pool — so the number
+//! of solver threads does not grow with the number of connections,
+//! tenants warm each other's regex models, solver verdicts and DFA
+//! tables, `metrics` reports the pool server-wide, and each connection
+//! keeps its own deterministic, re-sequenced result stream. The pool
+//! is FIFO across connections; each connection's share of it is
+//! capped by its own `max_inflight` bound.
 //!
 //! Admission control is two-layered: the accept loop refuses
 //! connections beyond `max_connections` with a structured `overloaded`
 //! error line (and refuses everything with `draining` once a drain
 //! began), while per-connection load shedding — when enabled — turns
-//! the scheduler's in-flight backpressure into `overloaded` errors on
+//! the job stream's in-flight backpressure into `overloaded` errors on
 //! individual submits. A drain ([`ServerState::begin_drain`], wired to
 //! SIGTERM by `expose-serve`) stops accepting, lets every in-flight
 //! session flush and close with its versioned `done` line, then
@@ -101,20 +107,17 @@ fn refuse(conn: Box<dyn Connection>, code: ErrorCode, message: &str) {
 
 /// Serves connections from `listener` until the listener is exhausted
 /// (stdio) or `state` drains. Each admitted connection runs
-/// [`ServeOptions::serve`] on its own thread over a clone of one
-/// shared warm cache set.
+/// [`ServeOptions::serve`] on its own thread as one job stream on a
+/// worker pool shared by the whole run.
 pub fn serve_listener(
     listener: &mut (dyn Listener + Send),
     options: &ServeOptions,
     state: &Arc<ServerState>,
 ) -> io::Result<ServerSummary> {
     let config = options.config_ref().clone();
-    // One warm cache set shared across every connection (unless the
-    // caller already provided one).
-    let caches = options
-        .caches_ref()
-        .cloned()
-        .unwrap_or_else(|| config.cache_set());
+    // One pool, and with it one warm cache set (the caller's, if
+    // provided), for every connection.
+    let pool = Arc::new(options.start_pool());
     let mut summary = ServerSummary::default();
     std::thread::scope(|scope| -> io::Result<()> {
         loop {
@@ -158,10 +161,8 @@ pub fn serve_listener(
                     state.accepted.fetch_add(1, Ordering::Relaxed);
                     state.active.fetch_add(1, Ordering::SeqCst);
                     summary.connections += 1;
-                    let serve = options
-                        .clone()
-                        .caches(caches.clone())
-                        .server(Arc::clone(state));
+                    let mut serve = options.clone().server(Arc::clone(state));
+                    serve.pool = Some(Arc::clone(&pool));
                     let state = Arc::clone(state);
                     scope.spawn(move || {
                         let peer = conn.peer();

@@ -1,14 +1,20 @@
-//! One service session: a reader loop feeding the scheduler and an
-//! emitter thread streaming re-sequenced results.
+//! One service session: a reader loop feeding a job stream on the
+//! shared worker pool and an emitter thread streaming re-sequenced
+//! results.
 //!
-//! The reader (the calling thread) parses NDJSON requests and submits
-//! jobs; [`expose_dse::sched::Scheduler::submit`] blocks when
-//! `max_inflight` jobs are pending, so backpressure propagates to the
-//! input — the session stops *reading* instead of buffering without
-//! bound. The emitter thread drains completions in job-id order and
-//! writes one `result` line per job as it lands; because the scheduler
-//! re-sequences, the result stream is byte-identical for any worker
-//! count.
+//! Every session opens its own [`expose_dse::JobStream`] on one
+//! [`Scheduler`] pool — the server's, when the session runs under
+//! [`crate::serve_listener`], or a pool of its own otherwise. The
+//! reader (the calling thread) parses NDJSON requests and submits
+//! jobs; [`expose_dse::JobStream::submit`] blocks when `max_inflight`
+//! of this session's jobs are pending, so backpressure propagates to
+//! the input — the session stops *reading* instead of buffering
+//! without bound, and a client that never reads holds at most
+//! `max_inflight` finished results while the pool's workers move on
+//! to other sessions. The emitter thread drains completions in job-id
+//! order and writes one `result` line per job as it lands; because
+//! the stream re-sequences, the result stream is byte-identical for
+//! any worker count and any concurrent sessions.
 //!
 //! Protocol-v2 streaming sessions (`open_session`/`push`/`pop`/
 //! `solve`/`close_session`) are handled on the reader thread: each
@@ -23,7 +29,7 @@ use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use expose_dse::sched::{LatencyHistogram, Scheduler, SchedulerConfig};
+use expose_dse::sched::{LatencyHistogram, Scheduler};
 use expose_dse::sym::RegexEvent;
 use expose_dse::{
     explore_observed, parser::parse_program, CacheSet, EngineConfig, ExploreConfig, Harness, Job,
@@ -42,9 +48,12 @@ use crate::wire;
 /// Session configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker shards (`0` = auto).
+    /// Worker threads of the job pool (`0` = auto). A socket
+    /// front-end starts one pool per server, shared by every
+    /// connection.
     pub workers: usize,
-    /// In-flight bound for backpressure (`0` = unbounded).
+    /// Per-connection in-flight bound for backpressure (`0` =
+    /// unbounded).
     pub max_inflight: usize,
     /// Regex-model cache capacity of a fresh session cache set.
     pub model_cache_capacity: usize,
@@ -112,7 +121,7 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Sets the worker shard count (`0` = auto).
+    /// Sets the job pool's worker thread count (`0` = auto).
     pub fn workers(mut self, workers: usize) -> ServiceConfig {
         self.workers = workers;
         self
@@ -311,6 +320,9 @@ pub struct ServeOptions {
     caches: Option<CacheSet>,
     server: Option<Arc<ServerState>>,
     metrics_text: bool,
+    /// The server-wide worker pool; `None` makes [`ServeOptions::serve`]
+    /// start a pool of its own.
+    pub(crate) pool: Option<Arc<Scheduler>>,
 }
 
 impl ServeOptions {
@@ -326,8 +338,8 @@ impl ServeOptions {
     }
 
     /// Uses a caller-provided cache set instead of a fresh one, so
-    /// several sessions (e.g. successive socket connections) keep
-    /// their caches warm.
+    /// several sessions (e.g. successive socket servers) keep their
+    /// caches warm.
     pub fn caches(mut self, caches: CacheSet) -> ServeOptions {
         self.caches = Some(caches);
         self
@@ -352,8 +364,14 @@ impl ServeOptions {
         &self.config
     }
 
-    pub(crate) fn caches_ref(&self) -> Option<&CacheSet> {
-        self.caches.as_ref()
+    /// Starts a worker pool sized by the configuration over the
+    /// provided cache set (or a fresh one).
+    pub(crate) fn start_pool(&self) -> Scheduler {
+        let caches = self
+            .caches
+            .clone()
+            .unwrap_or_else(|| self.config.cache_set());
+        Scheduler::start(self.config.workers, caches)
     }
 
     /// Serves one NDJSON session over `input`/`output`. Returns when
@@ -365,12 +383,15 @@ impl ServeOptions {
         output: W,
     ) -> std::io::Result<ServiceSummary> {
         let config = &self.config;
-        let caches = self.caches.clone().unwrap_or_else(|| config.cache_set());
-        let dfa_tables = caches.dfa.clone();
+        let pool = match &self.pool {
+            Some(pool) => Arc::clone(pool),
+            None => Arc::new(self.start_pool()),
+        };
+        let job_stream = pool.stream(config.max_inflight);
         // Streaming sessions solve on the reader thread with the same
-        // cache set the scheduler's shards use (a clone shares every
-        // layer), so batch jobs and streamed sessions warm each other.
-        let stream_caches = caches.clone();
+        // cache set the pool's workers use, so batch jobs and streamed
+        // sessions warm each other.
+        let stream_caches = pool.caches();
         let stream_solver = {
             let mut solver = if stream_caches.query.capacity() > 0 {
                 Solver::new(config.engine.solver.clone()).with_cache(stream_caches.query.clone())
@@ -382,13 +403,6 @@ impl ServeOptions {
             }
             solver
         };
-        let scheduler = Scheduler::start(
-            SchedulerConfig {
-                workers: config.workers,
-                max_inflight: config.max_inflight,
-            },
-            caches,
-        );
         let output = Mutex::new(output);
         // One line per call, atomically, so emitter and reader output
         // never interleave mid-line.
@@ -399,8 +413,8 @@ impl ServeOptions {
         };
 
         let config_json = config.echo_json();
-        // Wall time of each streamed `solve`, mirroring the
-        // scheduler's per-job histogram.
+        // Wall time of each streamed `solve`, mirroring the pool's
+        // per-job histogram.
         let solve_latency = LatencyHistogram::new();
         // Streaming-session totals survive close_session, so a
         // drain-time `stats`/`metrics` report is complete.
@@ -420,7 +434,7 @@ impl ServeOptions {
             let emitter = scope.spawn(|| {
                 let mut jobs: u64 = 0;
                 let mut first_error: Option<std::io::Error> = None;
-                while let Some(completion) = scheduler.next_ordered() {
+                while let Some(completion) = job_stream.next_ordered() {
                     jobs += 1;
                     if first_error.is_some() {
                         // The sink is gone; keep draining so submitters
@@ -454,12 +468,13 @@ impl ServeOptions {
             // Cache counters assembled identically for `stats` and
             // `metrics` lines.
             let collect_caches = |active: &Option<StreamState>| -> CacheCounters {
-                let caches = scheduler.caches();
+                let caches = stream_caches;
                 CacheCounters {
                     model: (caches.model.stats().hits, caches.model.stats().misses),
                     query: (caches.query.hits(), caches.query.misses()),
                     verdicts: (caches.verdicts.hits(), caches.verdicts.misses()),
-                    dfa: dfa_tables
+                    dfa: caches
+                        .dfa
                         .as_ref()
                         .map(|t| (t.hits(), t.misses()))
                         .unwrap_or_default(),
@@ -500,7 +515,7 @@ impl ServeOptions {
             // The reader loop runs inside a closure so an I/O error (a
             // dropped socket, a broken pipe on a status/ack write) cannot
             // `?` past the `close()` below — the emitter only exits once
-            // the session is closed, and the scope joins it either way.
+            // the job stream is closed, and the scope joins it either way.
             let reader = (|| -> std::io::Result<()> {
                 let mut active: Option<StreamState> = None;
                 let mut next_session_id: u64 = 0;
@@ -555,7 +570,7 @@ impl ServeOptions {
                     }
                     match request {
                         Request::Submit(submit) => {
-                            if config.load_shed && scheduler.at_capacity() {
+                            if config.load_shed && job_stream.at_capacity() {
                                 summary.request_errors += 1;
                                 write_line(&proto::error_line(&RequestError::new(
                                     ErrorCode::Overloaded,
@@ -570,7 +585,7 @@ impl ServeOptions {
                             // The reader is the only submitter, so the next
                             // id is stable between this read and the
                             // submit call.
-                            let next_id = scheduler.progress().submitted;
+                            let next_id = job_stream.progress().submitted;
                             let name = submit
                                 .name
                                 .clone()
@@ -580,8 +595,8 @@ impl ServeOptions {
                                 .expect("versions poisoned")
                                 .push(version);
                             let id = match job_from_submit(&submit, &name, &config.engine) {
-                                Ok(job) => scheduler.submit(job),
-                                Err(error) => scheduler.submit_rejected(&name, error),
+                                Ok(job) => job_stream.submit(job),
+                                Err(error) => job_stream.submit_rejected(&name, error),
                             };
                             if submit.ack {
                                 write_line(&proto::accepted_line(id, &name, version))?;
@@ -589,31 +604,30 @@ impl ServeOptions {
                         }
                         Request::Status => {
                             write_line(&proto::status_line(
-                                &scheduler.progress(),
-                                scheduler.workers(),
+                                &job_stream.progress(),
+                                pool.workers(),
                                 version,
                             ))?;
                         }
                         Request::Stats => {
                             write_line(&proto::stats_line(
                                 &collect_caches(&active),
-                                &scheduler.shard_stats(),
                                 &lifetime_view(&lifetime, &active),
                                 &config_json,
                                 version,
                             ))?;
                         }
                         Request::Metrics => {
-                            let progress = scheduler.progress();
+                            let progress = job_stream.progress();
                             let report = proto::MetricsReport {
-                                workers: scheduler.workers(),
+                                workers: pool.workers(),
+                                queued: pool.queued(),
                                 jobs: progress.drained,
                                 request_errors: summary.request_errors,
-                                job_latency: scheduler.latency(),
+                                job_latency: pool.latency(),
                                 solve_latency: solve_latency.snapshot(),
                                 progress,
                                 caches: &collect_caches(&active),
-                                shards: &scheduler.shard_stats(),
                                 lifetime: lifetime_view(&lifetime, &active),
                                 server: self.server.as_ref().map(|s| s.admission_counters()),
                                 config_json: &config_json,
@@ -646,7 +660,7 @@ impl ServeOptions {
                                 &stream_solver,
                                 config.engine.refinement_limit,
                                 &config.engine.build,
-                                &stream_caches,
+                                stream_caches,
                             )
                             .retractable()
                             .with_inputs_used(open.inputs_used);
@@ -822,7 +836,7 @@ impl ServeOptions {
                                 &program,
                                 &harness,
                                 &explore_config,
-                                &stream_caches,
+                                stream_caches,
                                 &mut |progress| {
                                     if stream_error.is_none() {
                                         if let Err(e) =
@@ -843,7 +857,7 @@ impl ServeOptions {
                 Ok(())
             })();
 
-            scheduler.close();
+            job_stream.close();
             let (jobs, emit_error) = emitter.join().expect("emitter panicked");
             summary.jobs = jobs;
             io_error = emit_error;
@@ -852,10 +866,10 @@ impl ServeOptions {
 
         reader_result?;
         if self.metrics_text {
-            let progress = scheduler.progress();
-            let job_latency = scheduler.latency();
+            let progress = job_stream.progress();
+            let job_latency = pool.latency();
             let solve = solve_latency.snapshot();
-            let caches = scheduler.caches();
+            let caches = stream_caches;
             eprintln!(
                 "metrics: jobs={} request_errors={} sessions={}/{} solves={} prefix_reuse={}",
                 summary.jobs,
@@ -868,10 +882,10 @@ impl ServeOptions {
             eprintln!(
                 "metrics: scheduler workers={} submitted={} drained={} queued={} \
                  job_p50_ms={:.3} job_p99_ms={:.3} job_max_ms={:.3}",
-                scheduler.workers(),
+                pool.workers(),
                 progress.submitted,
                 progress.drained,
-                progress.queued,
+                pool.queued(),
                 job_latency.p50_ms(),
                 job_latency.p99_ms(),
                 job_latency.max_ms(),
@@ -981,7 +995,7 @@ mod tests {
     fn reader_io_error_ends_the_session_instead_of_hanging() {
         // A sink that dies immediately: the first write (the error
         // line for the malformed request) fails. serve() must close
-        // the scheduler and return the error — before the fix the
+        // the job stream and return the error — before the fix the
         // reader error skipped `close()` and the scope deadlocked
         // joining the emitter.
         struct DeadSink;
@@ -1372,5 +1386,176 @@ mod tests {
         assert_eq!(results + shed, 3, "{lines:?}");
         assert!(results >= 1, "{lines:?}");
         assert_eq!(summary.request_errors as usize, shed);
+    }
+
+    #[derive(Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        opened: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn open(&self) {
+            *self
+                .open
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+            self.opened.notify_all();
+        }
+
+        fn wait(&self) {
+            let mut open = self.open.lock().expect("gate poisoned");
+            while !*open {
+                open = self.opened.wait(open).expect("gate poisoned");
+            }
+        }
+    }
+
+    /// Opens the gate when dropped, so a failing assertion releases the
+    /// parked session instead of hanging the scope that joins it.
+    struct OpenOnDrop<'a>(&'a Gate);
+
+    impl Drop for OpenOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.open();
+        }
+    }
+
+    /// A sink whose writes park until the test opens its gate, keeping
+    /// what it eventually writes.
+    struct ParkedSink {
+        gate: Arc<Gate>,
+        written: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Write for ParkedSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.gate.wait();
+            self.written
+                .lock()
+                .expect("sink poisoned")
+                .extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_client_that_never_reads_does_not_stall_other_sessions_on_the_pool() {
+        use std::time::Duration;
+
+        let pool = Arc::new(Scheduler::start(2, ServiceConfig::default().cache_set()));
+        let on_pool = |config: ServiceConfig| {
+            let mut options = ServeOptions::new().config(config);
+            options.pool = Some(Arc::clone(&pool));
+            options
+        };
+        let submits = |prefix: &str| -> String {
+            (0..6)
+                .map(|i| {
+                    format!(
+                        "{{\"type\":\"submit\",\"name\":\"{prefix}{i}\",\"program\":\
+                         \"function f(x) {{ if (x === \\\"{prefix}{i}\\\") {{ return 1; }} \
+                         return 0; }}\"}}\n"
+                    )
+                })
+                .collect()
+        };
+        let deadline = Instant::now() + Duration::from_secs(120);
+
+        // Session A never gets its output read and may hold two jobs in
+        // flight: job 0 parks in its emitter's write, jobs 1 and 2 wait
+        // in its re-sequencer, and its reader blocks submitting job 3.
+        let gate = Arc::new(Gate::default());
+        let a_written = Arc::new(Mutex::new(Vec::new()));
+        let a_sink = ParkedSink {
+            gate: Arc::clone(&gate),
+            written: Arc::clone(&a_written),
+        };
+        let a_options = on_pool(ServiceConfig {
+            max_inflight: 2,
+            ..quick_config(2)
+        });
+        let a_input = submits("a");
+        let b_options = on_pool(quick_config(2));
+        let b_input = submits("b") + "{\"type\":\"metrics\"}\n";
+
+        std::thread::scope(|scope| {
+            let a = scope.spawn(move || a_options.serve(a_input.as_bytes(), a_sink));
+            let release = OpenOnDrop(&gate);
+            while pool.latency().count < 3 {
+                assert!(
+                    Instant::now() < deadline,
+                    "session A never reached its bound"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+
+            // Session B runs to completion on the same two workers.
+            let (sender, receiver) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                let mut out: Vec<u8> = Vec::new();
+                let summary = b_options.serve(b_input.as_bytes(), &mut out);
+                let _ = sender.send((summary.map(|s| s.jobs), out));
+            });
+            let (jobs, out) = receiver
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .expect("session B finished while session A was stalled");
+            assert_eq!(jobs.expect("session B served"), 6);
+            let text = String::from_utf8(out).expect("utf8");
+            let lines: Vec<&str> = text.lines().collect();
+            let results: Vec<&&str> = lines
+                .iter()
+                .filter(|l| l.contains(r#""type":"result""#))
+                .collect();
+            assert_eq!(results.len(), 6, "{lines:?}");
+            for (i, line) in results.iter().enumerate() {
+                let prefix = format!(r#"{{"v":1,"type":"result","job":{i},"name":"b{i}""#);
+                assert!(line.starts_with(&prefix), "{line}");
+            }
+            assert_eq!(lines.last(), Some(&r#"{"v":1,"type":"done","jobs":6}"#));
+
+            // B's metrics describe the shared pool: both workers, and a
+            // job count that includes A's three finished jobs.
+            let metrics = lines
+                .iter()
+                .find(|l| l.contains(r#""type":"metrics""#))
+                .expect("metrics line");
+            let metrics = crate::json::parse(metrics).expect("metrics parses");
+            let field = |object: &str, key: &str| {
+                metrics
+                    .get(object)
+                    .and_then(|o| o.get(key))
+                    .and_then(crate::json::Value::as_f64)
+                    .unwrap_or_else(|| panic!("{object}.{key}")) as u64
+            };
+            assert_eq!(field("scheduler", "workers"), 2);
+            assert_eq!(field("scheduler", "submitted"), 6);
+            assert!(
+                field("job_latency", "count") >= 3 + field("scheduler", "drained"),
+                "{metrics:?}"
+            );
+            // A is still held at its bound.
+            assert_eq!(pool.latency().count, 6 + 3);
+
+            // Releasing A's sink lets it finish its stream.
+            drop(release);
+            let summary = a
+                .join()
+                .expect("session A thread")
+                .expect("session A served");
+            assert_eq!(summary.jobs, 6);
+        });
+        let a_text = String::from_utf8(a_written.lock().expect("sink").clone()).expect("utf8");
+        let a_lines: Vec<&str> = a_text.lines().collect();
+        assert_eq!(a_lines.len(), 7, "{a_lines:?}");
+        for (i, line) in a_lines[..6].iter().enumerate() {
+            let prefix = format!(r#"{{"v":1,"type":"result","job":{i},"name":"a{i}""#);
+            assert!(line.starts_with(&prefix), "{line}");
+        }
+        assert_eq!(a_lines[6], r#"{"v":1,"type":"done","jobs":6}"#);
     }
 }

@@ -12,8 +12,8 @@
 //! * [`core`] — capturing-language models, §4.4 negation, the CEGAR
 //!   matching-precedence refinement, the Algorithm 2 API models;
 //! * [`dse`] — the concolic engine for a JavaScript-like language,
-//!   plus the work-stealing job scheduler;
-//! * [`service`] — the NDJSON job service over that scheduler
+//!   plus the job scheduler's shared worker pool;
+//! * [`service`] — the NDJSON job service over that pool
 //!   (`expose-serve`);
 //! * [`fuzz`] — the deterministic differential fuzzer (`fuzz` binary)
 //!   cross-checking matcher, automata, solver and CEGAR against each
