@@ -68,6 +68,7 @@
 
 use std::time::Instant;
 
+use bench::cli::Cli;
 use bench::{engine_config, Budget};
 use corpus::{generate_dse_programs, library_workloads};
 use expose_core::cache::CacheStats;
@@ -250,12 +251,7 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
 /// scheduler behind `expose-serve`) and returns `(jobs, workers,
 /// wall_ms, jobs_per_sec)`.
 fn measure_throughput(programs: usize, budget: Budget, workers: usize) -> (u64, usize, f64, f64) {
-    let corpus_budget = if budget.executions >= Budget::full().executions {
-        expose_service::CorpusBudget::Full
-    } else {
-        expose_service::CorpusBudget::Quick
-    };
-    let mut input = expose_service::corpus_submit_lines(programs, corpus_budget).join("\n");
+    let mut input = bench::corpus_submit_lines(programs, budget).join("\n");
     input.push('\n');
     let config = expose_service::ServiceConfig {
         workers,
@@ -297,11 +293,6 @@ fn measure_latency(
     workers: usize,
     clients: usize,
 ) -> LatencyNumbers {
-    let corpus_budget = if budget.executions >= Budget::full().executions {
-        expose_service::CorpusBudget::Full
-    } else {
-        expose_service::CorpusBudget::Quick
-    };
     let listen = expose_service::Listen::parse("tcp:127.0.0.1:0").expect("loopback spec");
     let mut listener = listen.bind().expect("loopback bind");
     let addr = listener.local_addr();
@@ -314,12 +305,12 @@ fn measure_latency(
             expose_service::serve_listener(listener.as_mut(), &options, &server_state)
                 .expect("latency server failed");
         });
-        let report = expose_service::run_soak(&expose_service::SoakOptions {
+        let report = bench::soak::run_soak(&bench::soak::SoakOptions {
             addr,
             clients,
             seconds: 0,
             generated: programs,
-            budget: corpus_budget,
+            budget,
         })
         .expect("latency soak failed");
         state.begin_drain();
@@ -442,12 +433,10 @@ usage: perf [--out BENCH_dse.json] [--check BASELINE.json] [--flip-workers N (>=
             [--programs N (default 10)] [--budget quick|full] [--throughput] [--explore]
             [--summary-md PATH]";
 
-/// Reports a bad command line: the message and the usage go to
-/// standard error, and the process exits 2.
-fn usage_error(message: &str) -> ! {
-    eprintln!("perf: {message}\n{USAGE}");
-    std::process::exit(2)
-}
+const CLI: Cli = Cli {
+    name: "perf",
+    usage: USAGE,
+};
 
 fn main() {
     let mut out = String::from("BENCH_dse.json");
@@ -455,50 +444,32 @@ fn main() {
     let mut flip_workers = 4usize;
     let mut programs = 10usize;
     let mut budget_name = String::from("quick");
+    let mut budget = Budget::quick();
     let mut throughput = false;
     let mut explore = false;
     let mut summary_md: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")))
-        };
-        let count = |text: String| {
-            text.parse::<usize>()
-                .unwrap_or_else(|e| usage_error(&format!("{arg} wants a count, got {text:?}: {e}")))
-        };
-        match arg.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return;
-            }
-            "--out" => out = value(),
-            "--check" => check = Some(value()),
-            "--flip-workers" => flip_workers = count(value()),
-            "--programs" => programs = count(value()),
+        let flag = arg.as_str();
+        match flag {
+            "-h" | "--help" => CLI.help(),
+            "--out" => out = CLI.value(flag, &mut args),
+            "--check" => check = Some(CLI.value(flag, &mut args)),
+            "--flip-workers" => flip_workers = CLI.number(flag, &CLI.value(flag, &mut args)),
+            "--programs" => programs = CLI.number(flag, &CLI.value(flag, &mut args)),
             "--budget" => {
-                budget_name = value();
-                if !matches!(budget_name.as_str(), "quick" | "full") {
-                    usage_error(&format!(
-                        "unknown budget {budget_name:?} (expected quick|full)"
-                    ));
-                }
+                budget_name = CLI.value(flag, &mut args);
+                budget = CLI.budget(&budget_name);
             }
             "--throughput" => throughput = true,
             "--explore" => explore = true,
-            "--summary-md" => summary_md = Some(value()),
-            other => usage_error(&format!("unknown argument {other:?}")),
+            "--summary-md" => summary_md = Some(CLI.value(flag, &mut args)),
+            other => CLI.usage_error(&format!("unknown argument {other:?}")),
         }
     }
     if flip_workers < 4 {
-        usage_error("the tracked configuration uses --flip-workers >= 4");
+        CLI.usage_error("the tracked configuration uses --flip-workers >= 4");
     }
-    let budget = if budget_name == "full" {
-        Budget::full()
-    } else {
-        Budget::quick()
-    };
 
     let set = workload_set(programs);
     eprintln!(

@@ -7,24 +7,30 @@
 //! Exits nonzero if any case violates either side, or if the aggregate
 //! VM-vs-backtracker wall-clock speedup falls below 10x.
 //!
+//! `--help` prints the usage and exits 0; a bad argument prints the
+//! usage to standard error and exits 2.
+//!
 //! ```text
 //! cargo run --release -p bench --bin redos -- [--bt-budget N]
 //! ```
 
+use bench::cli::Cli;
 use bench::redos::{redos_corpus, run_case};
+
+const CLI: Cli = Cli {
+    name: "redos",
+    usage: "usage: redos [--bt-budget N (default 2000000)]",
+};
 
 fn main() {
     let mut bt_budget = 2_000_000u64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--bt-budget" => {
-                bt_budget = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--bt-budget needs a number")
-            }
-            other => panic!("unknown argument {other:?}"),
+        let flag = arg.as_str();
+        match flag {
+            "-h" | "--help" => CLI.help(),
+            "--bt-budget" => bt_budget = CLI.number(flag, &CLI.value(flag, &mut args)),
+            other => CLI.usage_error(&format!("unknown argument {other:?}")),
         }
     }
 

@@ -1,7 +1,8 @@
 //! A concurrent TCP soak client: N closed-loop clients submit the
 //! benchmark corpus over real sockets and measure end-to-end per-job
-//! latency — the client side of the `soak-smoke` CI job and of the
-//! `perf --throughput` latency trajectory
+//! latency — the client side of the `soak-smoke` CI job
+//! (`service-fixtures --soak`) and of the `perf --throughput` latency
+//! trajectory
 //! (`latency_p50_ms`/`latency_p99_ms` in `BENCH_dse.json`).
 //!
 //! Each client is closed-loop (one submit in flight at a time), so the
@@ -14,7 +15,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::{corpus_submit_lines, CorpusBudget};
+use crate::{corpus_submit_lines, Budget};
 
 /// Options for one soak run.
 #[derive(Debug, Clone)]
@@ -30,7 +31,7 @@ pub struct SoakOptions {
     /// workloads of each corpus pass.
     pub generated: usize,
     /// Per-job execution budget preset.
-    pub budget: CorpusBudget,
+    pub budget: Budget,
 }
 
 impl Default for SoakOptions {
@@ -40,7 +41,7 @@ impl Default for SoakOptions {
             clients: 8,
             seconds: 0,
             generated: 10,
-            budget: CorpusBudget::Quick,
+            budget: Budget::quick(),
         }
     }
 }
@@ -145,8 +146,8 @@ fn client_loop(
     Ok(outcome)
 }
 
-/// Runs `options.clients` concurrent closed-loop clients against a
-/// serving `--listen tcp:` endpoint and aggregates exact latency
+/// Runs `options.clients` concurrent closed-loop clients against an
+/// `expose-serve --listen tcp:` endpoint and aggregates exact latency
 /// quantiles.
 pub fn run_soak(options: &SoakOptions) -> io::Result<SoakReport> {
     let lines = corpus_submit_lines(options.generated, options.budget);

@@ -8,18 +8,18 @@
 //! stack the in-process run used, so the verdict trail folded from the
 //! `solved` responses is byte-identical to [`verdict_digest`] of the
 //! recorded report — that equality is the streaming determinism
-//! contract checked by `expose-serve --replay-stream` in CI and by
-//! `crates/service/tests/streaming_differential.rs`.
+//! contract checked by `service-fixtures --replay-stream` in CI and by
+//! `crates/bench/tests/streaming_differential.rs`.
 //!
-//! [`verdict_digest`]: crate::proto::verdict_digest
+//! [`verdict_digest`]: expose_service::proto::verdict_digest
 
 use expose_core::SupportLevel;
 use expose_dse::sym::Trace;
 use expose_dse::{run_dse_observed, CacheSet, Job, Report};
 
-use crate::json::{self, Value};
-use crate::proto::VerdictDigest;
-use crate::wire;
+use expose_service::json::{self, Value};
+use expose_service::proto::VerdictDigest;
+use expose_service::wire;
 
 /// One job recorded as a streaming script plus its whole-program
 /// reference report.
@@ -131,7 +131,7 @@ fn append_trace_script(
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamedVerdicts {
     /// FNV-1a 64 digest over the `solved` lines, in response order —
-    /// comparable with [`crate::proto::verdict_digest`].
+    /// comparable with [`expose_service::proto::verdict_digest`].
     pub digest: u64,
     /// Number of `solved` lines.
     pub solves: u64,
@@ -185,9 +185,9 @@ pub fn fold_responses<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::verdict_digest;
-    use crate::{ServeOptions, ServiceConfig};
     use expose_dse::{parser::parse_program, EngineConfig, Harness};
+    use expose_service::proto::verdict_digest;
+    use expose_service::{ServeOptions, ServiceConfig};
 
     fn flag_job() -> Job {
         let program = parse_program(

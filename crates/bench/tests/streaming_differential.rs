@@ -4,10 +4,10 @@
 //! every misuse of the session verbs must come back as a structured
 //! error, never a panic or a torn stream.
 
+use bench::stream::{fold_responses, record_stream};
 use expose_dse::{parser::parse_program, EngineConfig, Harness, Job};
 use expose_service::json::{self, Value};
-use expose_service::proto::verdict_digest;
-use expose_service::stream::{fold_responses, record_stream};
+use expose_service::proto::{submit_line, verdict_digest};
 use expose_service::{ServeOptions, ServiceConfig};
 
 fn quick_engine() -> EngineConfig {
@@ -28,17 +28,6 @@ fn quick_jobs(programs: usize, seed: u64) -> Vec<Job> {
             config: quick_engine(),
         })
         .collect()
-}
-
-fn submit_line(job: &Job, source: &str) -> String {
-    format!(
-        "{{\"type\":\"submit\",\"name\":{},\"entry\":{},\"arity\":{},\
-         \"max_executions\":3,\"max_steps\":10000,\"program\":{}}}",
-        json::escaped(&job.name),
-        json::escaped(job.harness.entry.as_deref().expect("corpus entry")),
-        job.harness.args.len(),
-        json::escaped(source),
-    )
 }
 
 fn serve_text(input: &str, config: &ServiceConfig) -> String {
@@ -83,7 +72,9 @@ fn streamed_digest_matches_whole_program_submit_across_workers() {
         // One connection interleaves the whole-program submit (routed
         // through the scheduler) with the streamed sessions (solved on
         // the reader thread): both must land on the same digest.
-        let mut input = submit_line(job, source);
+        let entry = job.harness.entry.as_deref().expect("corpus entry");
+        let arity = job.harness.args.len();
+        let mut input = submit_line(&job.name, entry, arity, source, 3, 10_000);
         input.push('\n');
         for line in &recording.script {
             input.push_str(line);

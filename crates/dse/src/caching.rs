@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use expose_core::cache::ModelCache;
 use expose_core::cegar::CegarCache;
-use strsolve::{DfaTables, QueryCache};
+use strsolve::{DfaTables, QueryCache, Solver, SolverConfig};
 
 use crate::engine::EngineConfig;
 
@@ -71,31 +71,26 @@ impl DseCaches {
         }
     }
 
-    /// A session cache set whose model and solver-verdict layers are
-    /// additionally bounded by approximate byte budgets (`0` =
-    /// unlimited) — used by long-lived `expose-serve` sessions so
-    /// resident cached state cannot grow without bound.
-    pub fn session_with_byte_budgets(
-        model_capacity: usize,
-        query_capacity: usize,
-        dfa_capacity: usize,
-        model_byte_budget: usize,
-        query_byte_budget: usize,
-    ) -> DseCaches {
+    /// A session cache set sized from an engine configuration whose
+    /// model and solver-verdict layers are additionally bounded by one
+    /// approximate byte budget each (`0` = unlimited) — used by
+    /// long-lived `expose-serve` sessions so resident cached state
+    /// cannot grow without bound.
+    pub fn session_with_byte_budget(config: &EngineConfig, byte_budget: usize) -> DseCaches {
         DseCaches {
             model: Arc::new(ModelCache::with_byte_budget(
-                model_capacity,
-                model_byte_budget,
+                config.model_cache_capacity,
+                byte_budget,
             )),
             query: Arc::new(QueryCache::with_byte_budget(
-                query_capacity,
-                query_byte_budget,
+                config.query_cache_capacity,
+                byte_budget,
             )),
             verdicts: Arc::new(CegarCache::with_byte_budget(
-                query_capacity,
-                query_byte_budget,
+                config.query_cache_capacity,
+                byte_budget,
             )),
-            dfa: Some(DfaTables::new(dfa_capacity)),
+            dfa: Some(DfaTables::new(config.solver.dfa_cache_capacity)),
         }
     }
 
@@ -105,13 +100,26 @@ impl DseCaches {
     }
 
     /// A session cache set sized from an engine configuration (the DFA
-    /// tables take the solver's `dfa_cache_capacity`).
+    /// tables take the solver's `dfa_cache_capacity`), with no byte
+    /// budget.
     pub fn session_from_config(config: &EngineConfig) -> DseCaches {
-        DseCaches::session(
-            config.model_cache_capacity,
-            config.query_cache_capacity,
-            config.solver.dfa_cache_capacity,
-        )
+        DseCaches::session_with_byte_budget(config, 0)
+    }
+
+    /// A solver that queries through this set: the query cache is
+    /// attached only when its capacity is above 0 (so the uncached
+    /// baseline pays no canonicalization overhead), the DFA intern
+    /// tables whenever the set carries them.
+    pub fn solver(&self, config: &SolverConfig) -> Solver {
+        let mut solver = if self.query.capacity() > 0 {
+            Solver::new(config.clone()).with_cache(self.query.clone())
+        } else {
+            Solver::new(config.clone())
+        };
+        if let Some(tables) = &self.dfa {
+            solver = solver.with_dfa_tables(tables);
+        }
+        solver
     }
 
     /// A fully disabled cache set (every lookup misses and stores

@@ -270,7 +270,7 @@ pub fn run_dse_observed(
         stmt_count: program.stmt_count,
         ..Report::default()
     };
-    let solver = build_solver(config, caches);
+    let solver = caches.solver(&config.solver);
     let flip_workers = resolve_workers(config.flip_workers);
     let interp_config = InterpConfig {
         support: config.support,
@@ -352,24 +352,6 @@ pub fn run_dse_observed(
         }
     }
     report
-}
-
-/// Builds the solver a run (engine or exploration loop) queries
-/// through: the configured limits, the shared query cache when its
-/// capacity is non-zero, and the resident DFA tables when the cache
-/// set carries them.
-pub(crate) fn build_solver(config: &EngineConfig, caches: &DseCaches) -> Solver {
-    // A zero-capacity query cache is fully disabled: skip attaching it
-    // so the uncached baseline pays no canonicalization overhead.
-    let mut solver = if caches.query.capacity() > 0 {
-        Solver::new(config.solver.clone()).with_cache(caches.query.clone())
-    } else {
-        Solver::new(config.solver.clone())
-    };
-    if let Some(tables) = &caches.dfa {
-        solver = solver.with_dfa_tables(tables);
-    }
-    solver
 }
 
 /// Solves the first `flips` clause flips of a trace, returning results

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use crate::ast::{Program, StmtId};
 use crate::caching::DseCaches;
-use crate::engine::{build_solver, resolve_workers, solve_trace_flips, EngineConfig};
+use crate::engine::{resolve_workers, solve_trace_flips, EngineConfig};
 use crate::frontier::{CoverageMap, FrontierScheduler};
 use crate::interp::{execute, Harness, InterpConfig};
 use crate::solve::QueryRecord;
@@ -280,7 +280,7 @@ pub fn explore_observed(
 ) -> ExploreReport {
     let start = Instant::now();
     let engine = &config.engine;
-    let solver = build_solver(engine, caches);
+    let solver = caches.solver(&engine.solver);
     let flip_workers = resolve_workers(engine.flip_workers);
     let interp_config = InterpConfig {
         support: engine.support,

@@ -15,7 +15,10 @@
 //! additionally cross-checks the assumption-stack solver paths against
 //! the from-scratch solves on every case. `--stats` prints the
 //! per-feature histogram and Unknown rates; `--summary-md` writes the
-//! same numbers as job-summary markdown.
+//! same numbers as job-summary markdown. `--help` prints the usage and
+//! exits 0; an unknown argument, a missing value, a bad number or seed
+//! range, or an unknown budget prints the usage to standard error and
+//! exits 2.
 
 use std::ops::Range;
 
@@ -23,14 +26,32 @@ use expose_fuzz::{
     generate_case, render_repro_test, run_case, shrink, FuzzBudget, FuzzStats, GenConfig,
 };
 
+const USAGE: &str = "\
+usage: fuzz [--seed-range A..B (default 0..2000)] [--budget quick|full] [--incremental]
+            [--shrink] [--stats] [--summary-md PATH] [--repro-out PATH] [--max-failures N]";
+
+/// Prints `message` and the usage to standard error and exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("fuzz: {message}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// Parses the value of `flag` as a number, or exits through
+/// [`usage_error`].
+fn number<T: std::str::FromStr<Err = std::num::ParseIntError>>(flag: &str, text: &str) -> T {
+    text.parse()
+        .unwrap_or_else(|e| usage_error(&format!("{flag} wants a number, got {text:?}: {e}")))
+}
+
 fn parse_seed_range(s: &str) -> Range<u64> {
-    let (a, b) = s
-        .split_once("..")
-        .unwrap_or_else(|| panic!("--seed-range wants A..B, got {s:?}"));
-    let start: u64 = a.parse().unwrap_or_else(|e| panic!("bad range start: {e}"));
-    let end: u64 = b.parse().unwrap_or_else(|e| panic!("bad range end: {e}"));
-    assert!(start < end, "--seed-range must be non-empty");
-    start..end
+    let Some((a, b)) = s.split_once("..") else {
+        usage_error(&format!("--seed-range wants A..B, got {s:?}"))
+    };
+    let range = number("--seed-range", a)..number("--seed-range", b);
+    if range.is_empty() {
+        usage_error(&format!("--seed-range {s:?} is empty"));
+    }
+    range
 }
 
 fn main() {
@@ -44,28 +65,32 @@ fn main() {
     let mut max_failures = 10usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")))
         };
-        match arg.as_str() {
-            "--seed-range" => seeds = parse_seed_range(&value("--seed-range")),
+        let flag = arg.as_str();
+        match flag {
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                return;
+            }
+            "--seed-range" => seeds = parse_seed_range(&value()),
             "--budget" => {
-                budget_name = value("--budget");
-                assert!(
-                    matches!(budget_name.as_str(), "quick" | "full"),
-                    "unknown budget {budget_name:?} (expected quick|full)"
-                );
+                budget_name = value();
+                if !matches!(budget_name.as_str(), "quick" | "full") {
+                    usage_error(&format!(
+                        "unknown budget {budget_name:?} (expected quick|full)"
+                    ));
+                }
             }
             "--shrink" => do_shrink = true,
             "--incremental" => incremental = true,
             "--stats" => print_stats = true,
-            "--summary-md" => summary_md = Some(value("--summary-md")),
-            "--repro-out" => repro_out = Some(value("--repro-out")),
-            "--max-failures" => {
-                max_failures = value("--max-failures").parse().expect("failure count")
-            }
-            other => panic!("unknown argument {other:?}"),
+            "--summary-md" => summary_md = Some(value()),
+            "--repro-out" => repro_out = Some(value()),
+            "--max-failures" => max_failures = number(flag, &value()),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     let mut budget = if budget_name == "full" {

@@ -8,7 +8,9 @@
 //! pool and its warm [`expose_dse::CacheSet`], and the `expose-serve` binary exposes the
 //! whole thing over stdio, a Unix socket, or TCP behind one `--listen`
 //! surface ([`transport`]), with admission control and graceful drain
-//! ([`server`]) and a concurrent soak client ([`soak`]).
+//! ([`server`]). The fixtures that feed and check a server — corpus
+//! request lines, the TCP soak client and the streaming-script
+//! recorder — live in the `bench` crate, not here.
 //!
 //! Protocol v2 adds *streaming solve sessions* on top: a client
 //! replays a trace clause by clause (`open_session`/`push`) and poses
@@ -26,121 +28,13 @@ pub mod json;
 pub mod proto;
 pub mod server;
 pub mod session;
-pub mod soak;
-pub mod stream;
 pub mod transport;
 pub mod wire;
 
 pub use proto::{
-    parse_request, result_line, verdict_digest, ErrorCode, ExploreRequest, LifetimeCounters,
-    ProtoVersion, Request, RequestError, SubmitRequest, VerdictDigest,
+    parse_request, result_line, submit_line, verdict_digest, ErrorCode, ExploreRequest,
+    LifetimeCounters, ProtoVersion, Request, RequestError, SubmitRequest, VerdictDigest,
 };
 pub use server::{serve_listener, ServerState, ServerSummary};
 pub use session::{ServeOptions, ServiceConfig, ServiceSummary};
-pub use soak::{run_soak, SoakOptions, SoakReport};
 pub use transport::{Listen, Listener};
-
-use crate::json::escaped;
-
-/// Execution budget for [`corpus_submit_lines`] (mirrors the bench
-/// harness presets: quick for PR CI, full for the nightly run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorpusBudget {
-    /// 40 executions, 50k interpreter steps — the PR-CI budget.
-    Quick,
-    /// 48 executions, 100k interpreter steps — the table/nightly
-    /// budget.
-    Full,
-}
-
-impl CorpusBudget {
-    /// `(max_executions, max_steps)` of the preset.
-    pub fn limits(self) -> (usize, u64) {
-        match self {
-            CorpusBudget::Quick => (40, 50_000),
-            CorpusBudget::Full => (48, 100_000),
-        }
-    }
-}
-
-/// The standard benchmark corpus (the eleven Table 6 library workloads
-/// plus `generated` Table 7 programs) as NDJSON `submit` lines — the
-/// input of the `service-smoke` CI job and the throughput bench.
-pub fn corpus_submit_lines(generated: usize, budget: CorpusBudget) -> Vec<String> {
-    let (max_executions, max_steps) = budget.limits();
-    let submit = |name: &str, source: &str, entry: &str, arity: usize| {
-        format!(
-            "{{\"type\":\"submit\",\"name\":{},\"entry\":{},\"arity\":{arity},\
-             \"max_executions\":{max_executions},\"max_steps\":{max_steps},\
-             \"program\":{}}}",
-            escaped(name),
-            escaped(entry),
-            escaped(source),
-        )
-    };
-    let mut lines = Vec::new();
-    for w in corpus::library_workloads() {
-        lines.push(submit(w.name, w.source, w.entry, w.arity));
-    }
-    for p in corpus::generate_dse_programs(generated, 0xbe7c) {
-        lines.push(submit(&p.name, &p.source, &p.entry, p.arity));
-    }
-    lines
-}
-
-/// The same corpus as protocol-v2 `explore` lines, each running an
-/// `iterations`-bounded pure-concolic loop — the input of the
-/// `explore-smoke` CI job, whose response stream must be byte-identical
-/// at any flip worker count.
-pub fn corpus_explore_lines(
-    generated: usize,
-    budget: CorpusBudget,
-    iterations: usize,
-) -> Vec<String> {
-    let (_, max_steps) = budget.limits();
-    let explore = |name: &str, source: &str, entry: &str, arity: usize| {
-        format!(
-            "{{\"v\":2,\"type\":\"explore\",\"name\":{},\"entry\":{},\"arity\":{arity},\
-             \"iterations\":{iterations},\"max_steps\":{max_steps},\
-             \"program\":{}}}",
-            escaped(name),
-            escaped(entry),
-            escaped(source),
-        )
-    };
-    let mut lines = Vec::new();
-    for w in corpus::library_workloads() {
-        lines.push(explore(w.name, w.source, w.entry, w.arity));
-    }
-    for p in corpus::generate_dse_programs(generated, 0xbe7c) {
-        lines.push(explore(&p.name, &p.source, &p.entry, p.arity));
-    }
-    lines
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn corpus_lines_parse_as_submits() {
-        let lines = corpus_submit_lines(3, CorpusBudget::Quick);
-        assert_eq!(lines.len(), 11 + 3);
-        for line in &lines {
-            let (request, _) = parse_request(line).expect("parses");
-            let Request::Submit(submit) = request else {
-                panic!("submit line");
-            };
-            assert_eq!(submit.max_executions, Some(40));
-            assert_eq!(submit.max_steps, Some(50_000));
-            // Programs must survive the JSON round trip intact.
-            expose_dse::parser::parse_program(&submit.program).expect("program parses");
-        }
-    }
-
-    #[test]
-    fn budgets_differ() {
-        assert_eq!(CorpusBudget::Quick.limits(), (40, 50_000));
-        assert_eq!(CorpusBudget::Full.limits(), (48, 100_000));
-    }
-}

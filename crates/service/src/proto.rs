@@ -30,7 +30,7 @@
 //! Wall-clock and cache hit/miss splits deliberately live in `stats`
 //! instead: the `result` stream of a session is byte-identical for any
 //! worker count (`crates/service/tests/service_differential.rs`,
-//! `crates/service/tests/streaming_differential.rs` and the
+//! `crates/bench/tests/streaming_differential.rs` and the
 //! `service-smoke` CI job enforce this).
 
 use expose_core::SupportLevel;
@@ -495,10 +495,31 @@ pub fn parse_request(line: &str) -> Result<(Request, ProtoVersion), RequestError
     Ok((request, version))
 }
 
+/// Renders a v1 `submit` line for `program` under an execution budget
+/// — the form fixtures and clients feed the service, which
+/// [`parse_request`] reads back as a [`Request::Submit`] with exactly
+/// these fields set.
+pub fn submit_line(
+    name: &str,
+    entry: &str,
+    arity: usize,
+    program: &str,
+    max_executions: usize,
+    max_steps: u64,
+) -> String {
+    format!(
+        "{{\"type\":\"submit\",\"name\":{},\"entry\":{},\"arity\":{arity},\
+         \"max_executions\":{max_executions},\"max_steps\":{max_steps},\"program\":{}}}",
+        json::escaped(name),
+        json::escaped(entry),
+        json::escaped(program),
+    )
+}
+
 /// Incremental FNV-1a 64 digest over a verdict trail: one `(sat,
 /// refinements, limit_hit)` record per query, in clause order. The
-/// streamed `--replay-stream` checker folds `solved` responses into one
-/// of these and compares against [`verdict_digest`] of the
+/// `service-fixtures --replay-stream` checker folds `solved` responses
+/// into one of these and compares against [`verdict_digest`] of the
 /// whole-program report — byte-identity of the two trails is the
 /// streaming determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1046,6 +1067,23 @@ mod tests {
         assert_eq!(submit.support, None, "absent = session default");
         assert_eq!(submit.harness, HarnessKind::Strings);
         assert!(!submit.ack);
+    }
+
+    #[test]
+    fn submit_line_parses_back_to_its_fields() {
+        let line = submit_line("a \"b\"", "g", 2, "function g(x, y) {}", 40, 50_000);
+        let (request, version) = parse_request(&line).expect("parses");
+        assert_eq!(version, ProtoVersion::V1);
+        let Request::Submit(submit) = request else {
+            panic!("submit");
+        };
+        assert_eq!(submit.name.as_deref(), Some("a \"b\""));
+        assert_eq!(submit.entry, "g");
+        assert_eq!(submit.arity, 2);
+        assert_eq!(submit.program, "function g(x, y) {}");
+        assert_eq!(submit.max_executions, Some(40));
+        assert_eq!(submit.max_steps, Some(50_000));
+        assert_eq!(submit.support, None);
     }
 
     #[test]

@@ -35,7 +35,6 @@ use expose_dse::{
     explore_observed, parser::parse_program, CacheSet, EngineConfig, ExploreConfig, Harness, Job,
     TraceFlipSession,
 };
-use strsolve::Solver;
 
 use crate::proto::{
     self, CacheCounters, ErrorCode, ExploreRequest, HarnessKind, LifetimeCounters, ProtoVersion,
@@ -55,20 +54,13 @@ pub struct ServiceConfig {
     /// Per-connection in-flight bound for backpressure (`0` =
     /// unbounded).
     pub max_inflight: usize,
-    /// Regex-model cache capacity of a fresh session cache set.
-    pub model_cache_capacity: usize,
-    /// Solver query-cache capacity of a fresh session cache set.
-    pub query_cache_capacity: usize,
-    /// DFA intern-table capacity of a fresh session cache set.
-    pub dfa_table_capacity: usize,
-    /// Approximate byte budget for resident regex models (`0` =
-    /// unlimited). Entry counts alone do not bound memory — a few
-    /// hundred quantifier-expanded models can dwarf thousands of small
-    /// ones — so long-lived sessions get a byte ceiling too.
-    pub model_cache_byte_budget: usize,
-    /// Approximate byte budget for cached solver/CEGAR verdicts (`0` =
-    /// unlimited).
-    pub query_cache_byte_budget: usize,
+    /// Approximate byte budget of each of a fresh session cache set's
+    /// regex-model and solver/CEGAR-verdict layers (`0` = unlimited).
+    /// Entry counts alone do not bound memory — a few hundred
+    /// quantifier-expanded models can dwarf thousands of small ones —
+    /// so long-lived sessions get a byte ceiling too. The entry
+    /// capacities come from [`ServiceConfig::engine`].
+    pub cache_byte_budget: usize,
     /// Maximum assumption-stack depth of a protocol-v2 streaming
     /// session; a `push` beyond it is rejected with `depth_limit`.
     /// Every retained frame (and its retraction snapshot) stays
@@ -96,17 +88,12 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
-        let engine = EngineConfig::default();
         ServiceConfig {
             workers: 0,
             max_inflight: 256,
-            model_cache_capacity: engine.model_cache_capacity,
-            query_cache_capacity: engine.query_cache_capacity,
-            dfa_table_capacity: engine.solver.dfa_cache_capacity,
-            // 64 MiB each: far above any workload in the bench suite,
-            // but a hard ceiling for sessions that run for days.
-            model_cache_byte_budget: 64 << 20,
-            query_cache_byte_budget: 64 << 20,
+            // 64 MiB per layer: far above any workload in the bench
+            // suite, but a hard ceiling for sessions that run for days.
+            cache_byte_budget: 64 << 20,
             // A trace this deep is far beyond any engine workload; the
             // bound exists to cap per-connection memory, not to be hit.
             max_session_depth: 4096,
@@ -115,7 +102,7 @@ impl Default for ServiceConfig {
             max_line_bytes: 4 << 20,
             max_connections: 64,
             load_shed: false,
-            engine,
+            engine: EngineConfig::default(),
         }
     }
 }
@@ -133,11 +120,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets both session cache byte budgets (model and query/verdict)
-    /// to `bytes` — the single `--cache-bytes` knob.
+    /// Sets the per-layer session cache byte budget — the
+    /// `--cache-bytes` knob.
     pub fn cache_bytes(mut self, bytes: usize) -> ServiceConfig {
-        self.model_cache_byte_budget = bytes;
-        self.query_cache_byte_budget = bytes;
+        self.cache_byte_budget = bytes;
         self
     }
 
@@ -165,15 +151,10 @@ impl ServiceConfig {
         self
     }
 
-    /// A fresh session cache set sized from this configuration.
+    /// A fresh session cache set sized from the engine defaults and
+    /// the byte budget.
     pub fn cache_set(&self) -> CacheSet {
-        CacheSet::session_with_byte_budgets(
-            self.model_cache_capacity,
-            self.query_cache_capacity,
-            self.dfa_table_capacity,
-            self.model_cache_byte_budget,
-            self.query_cache_byte_budget,
-        )
+        CacheSet::session_with_byte_budget(&self.engine, self.cache_byte_budget)
     }
 
     /// The effective configuration as a compact JSON object — the
@@ -193,11 +174,11 @@ impl ServiceConfig {
             self.max_line_bytes,
             self.load_shed,
             self.max_session_depth,
-            self.model_cache_capacity,
-            self.query_cache_capacity,
-            self.dfa_table_capacity,
-            self.model_cache_byte_budget,
-            self.query_cache_byte_budget,
+            self.engine.model_cache_capacity,
+            self.engine.query_cache_capacity,
+            self.engine.solver.dfa_cache_capacity,
+            self.cache_byte_budget,
+            self.cache_byte_budget,
             self.engine.max_executions,
             self.engine.max_steps,
             self.engine.max_flips_per_trace,
@@ -392,17 +373,7 @@ impl ServeOptions {
         // cache set the pool's workers use, so batch jobs and streamed
         // sessions warm each other.
         let stream_caches = pool.caches();
-        let stream_solver = {
-            let mut solver = if stream_caches.query.capacity() > 0 {
-                Solver::new(config.engine.solver.clone()).with_cache(stream_caches.query.clone())
-            } else {
-                Solver::new(config.engine.solver.clone())
-            };
-            if let Some(tables) = &stream_caches.dfa {
-                solver = solver.with_dfa_tables(tables);
-            }
-            solver
-        };
+        let stream_solver = stream_caches.solver(&config.engine.solver);
         let output = Mutex::new(output);
         // One line per call, atomically, so emitter and reader output
         // never interleave mid-line.
@@ -1042,14 +1013,18 @@ mod tests {
 
     #[test]
     fn cache_set_carries_byte_budgets() {
-        let config = ServiceConfig {
-            model_cache_byte_budget: 1024,
-            query_cache_byte_budget: 2048,
-            ..ServiceConfig::default()
-        };
+        let mut config = ServiceConfig::default().cache_bytes(1024);
+        config.engine.model_cache_capacity = 7;
+        config.engine.query_cache_capacity = 9;
+        config.engine.solver.dfa_cache_capacity = 11;
         let caches = config.cache_set();
+        // One budget bounds both byte-accounted layers; the entry
+        // capacities come from the engine defaults.
         assert_eq!(caches.model.byte_budget(), 1024);
-        assert_eq!(caches.query.byte_budget(), 2048);
+        assert_eq!(caches.query.byte_budget(), 1024);
+        assert_eq!(caches.query.capacity(), 9);
+        assert_eq!(caches.verdicts.capacity(), 9);
+        assert_eq!(caches.dfa.as_ref().map(|t| t.capacity()), Some(11));
         // The defaults are bounded, not unlimited.
         let defaults = ServiceConfig::default().cache_set();
         assert!(defaults.model.byte_budget() > 0);
@@ -1456,11 +1431,11 @@ mod tests {
         let submits = |prefix: &str| -> String {
             (0..6)
                 .map(|i| {
-                    format!(
-                        "{{\"type\":\"submit\",\"name\":\"{prefix}{i}\",\"program\":\
-                         \"function f(x) {{ if (x === \\\"{prefix}{i}\\\") {{ return 1; }} \
-                         return 0; }}\"}}\n"
-                    )
+                    let name = format!("{prefix}{i}");
+                    let program = format!(
+                        "function f(x) {{ if (x === \"{name}\") {{ return 1; }} return 0; }}"
+                    );
+                    proto::submit_line(&name, "f", 1, &program, 6, 100_000) + "\n"
                 })
                 .collect()
         };

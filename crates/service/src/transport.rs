@@ -164,6 +164,29 @@ impl Connection for StdioConnection {
     }
 }
 
+/// The accept loop of the non-blocking socket backends: retries
+/// `accept` every [`ACCEPT_TICK`] while it would block, returning the
+/// accepted socket, or `None` once `timeout` has passed.
+fn accept_within<S>(
+    timeout: Duration,
+    mut accept: impl FnMut() -> io::Result<S>,
+) -> io::Result<Option<S>> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match accept() {
+            Ok(socket) => return Ok(Some(socket)),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if Instant::now() >= deadline {
+                    return Ok(None);
+                }
+                std::thread::sleep(ACCEPT_TICK);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// The non-blocking TCP transport.
 #[derive(Debug)]
 pub struct TcpTransport {
@@ -189,27 +212,15 @@ impl Listener for TcpTransport {
     }
 
     fn poll_accept(&mut self, timeout: Duration) -> io::Result<Accepted> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    stream.set_nodelay(true).ok();
-                    stream.set_read_timeout(Some(READ_TICK))?;
-                    return Ok(Accepted::Connection(Box::new(TcpConnection {
-                        stream,
-                        peer: peer.to_string(),
-                    })));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Ok(Accepted::Idle);
-                    }
-                    std::thread::sleep(ACCEPT_TICK);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        let Some((stream, peer)) = accept_within(timeout, || self.listener.accept())? else {
+            return Ok(Accepted::Idle);
+        };
+        stream.set_nodelay(true).ok();
+        stream.set_read_timeout(Some(READ_TICK))?;
+        Ok(Accepted::Connection(Box::new(TcpConnection {
+            stream,
+            peer: peer.to_string(),
+        })))
     }
 }
 
@@ -259,26 +270,14 @@ impl Listener for UnixTransport {
     }
 
     fn poll_accept(&mut self, timeout: Duration) -> io::Result<Accepted> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_read_timeout(Some(READ_TICK))?;
-                    return Ok(Accepted::Connection(Box::new(UnixConnection {
-                        stream,
-                        peer: format!("unix:{}", self.path.display()),
-                    })));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Ok(Accepted::Idle);
-                    }
-                    std::thread::sleep(ACCEPT_TICK);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        let Some((stream, _)) = accept_within(timeout, || self.listener.accept())? else {
+            return Ok(Accepted::Idle);
+        };
+        stream.set_read_timeout(Some(READ_TICK))?;
+        Ok(Accepted::Connection(Box::new(UnixConnection {
+            stream,
+            peer: format!("unix:{}", self.path.display()),
+        })))
     }
 }
 

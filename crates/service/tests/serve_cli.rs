@@ -21,16 +21,50 @@ fn help_prints_usage_and_exits_zero() {
 }
 
 #[test]
+fn help_lists_exactly_the_serving_flags() {
+    let output = serve(&["--help"]);
+    let usage = String::from_utf8_lossy(&output.stdout);
+    let mut flags: Vec<&str> = usage
+        .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    flags.sort_unstable();
+    assert_eq!(
+        flags,
+        [
+            "--cache-bytes",
+            "--flip-workers",
+            "--listen",
+            "--max-connections",
+            "--max-inflight",
+            "--metrics-text",
+            "--shed",
+            "--workers",
+        ]
+    );
+}
+
+#[test]
 fn bad_arguments_exit_two_with_usage() {
     for args in [
         &["--no-such-flag"][..],
         &["--workers"],
         &["--workers", "many"],
-        &["--seconds", "-1"],
-        &["--emit-corpus", "ten"],
-        &["--budget", "huge"],
+        &["--max-connections", "-1"],
         // The old `--socket PATH` alias is gone.
         &["--socket", "/nonexistent/expose.sock"],
+        // The fixture modes moved to the bench crate's
+        // `service-fixtures` binary; `--emit-stream` is gone.
+        &["--batch"],
+        &["--emit-corpus", "10"],
+        &["--emit-stream", "10"],
+        &["--emit-explore", "10"],
+        &["--replay-stream", "10"],
+        &["--soak", "127.0.0.1:7077"],
+        &["--clients", "8"],
+        &["--seconds", "30"],
+        &["--iterations", "5"],
+        &["--budget", "quick"],
     ] {
         let output = serve(args);
         assert_eq!(output.status.code(), Some(2), "{args:?}");

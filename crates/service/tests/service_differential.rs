@@ -13,16 +13,7 @@ use expose_service::{proto, ProtoVersion, Request, ServeOptions, ServiceConfig};
 fn submit_lines(programs: usize, seed: u64) -> Vec<String> {
     corpus::generate_dse_programs(programs, seed)
         .into_iter()
-        .map(|p| {
-            format!(
-                "{{\"type\":\"submit\",\"name\":{},\"entry\":{},\"arity\":{},\
-                 \"max_executions\":3,\"max_steps\":10000,\"program\":{}}}",
-                expose_service::json::escaped(&p.name),
-                expose_service::json::escaped(&p.entry),
-                p.arity,
-                expose_service::json::escaped(&p.source),
-            )
-        })
+        .map(|p| proto::submit_line(&p.name, &p.entry, p.arity, &p.source, 3, 10_000))
         .collect()
 }
 
@@ -63,7 +54,7 @@ fn stream_matches_the_serial_batch_reference() {
 
     // The reference: parse the same submits, run them through a
     // one-worker batch, render with the same formatter — exactly
-    // what `expose-serve --batch` does.
+    // what `service-fixtures --batch` does.
     let config = ServiceConfig::default();
     let mut named: Vec<(String, Job)> = Vec::new();
     for line in &lines {

@@ -16,20 +16,22 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use expose_service::{
-    corpus_submit_lines, serve_listener, CorpusBudget, Listen, ServeOptions, ServerState,
-    ServiceConfig,
+    serve_listener, submit_line, Listen, ServeOptions, ServerState, ServiceConfig,
 };
 
 /// The 21-workload corpus (11 library + 10 generated programs),
 /// trimmed to a tiny execution budget so the whole matrix stays fast.
 fn corpus_input() -> String {
     let mut input = String::new();
-    for line in corpus_submit_lines(10, CorpusBudget::Quick) {
-        input.push_str(&line.replace(
-            "\"max_executions\":40,\"max_steps\":50000",
-            "\"max_executions\":3,\"max_steps\":10000",
-        ));
+    let mut push = |name: &str, entry: &str, arity: usize, source: &str| {
+        input.push_str(&submit_line(name, entry, arity, source, 3, 10_000));
         input.push('\n');
+    };
+    for w in corpus::library_workloads() {
+        push(w.name, w.entry, w.arity, w.source);
+    }
+    for p in corpus::generate_dse_programs(10, 0xbe7c) {
+        push(&p.name, &p.entry, p.arity, &p.source);
     }
     input.push_str("{\"type\":\"shutdown\"}\n");
     input
